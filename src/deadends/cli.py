@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -28,7 +27,7 @@ from .abelian import (
 )
 from .core import DeadendError, MarkedGroup
 from .geolang import Dfa, depth_bound_check, verify_language
-from .heis import HeisenbergGroup, heis_family
+from .heis import HeisenbergGroup, _depth_bound_ceil, heis_family
 from .search import (
     BallIndex,
     BoundViolated,
@@ -165,13 +164,6 @@ def cmd_depth_scan(
     return EXIT_OK
 
 
-def _family_depth_bound(n: int) -> int:
-    """Smallest integer >= sqrt(2n - 4) + 1."""
-    x = 2 * n - 4
-    s = math.isqrt(x)
-    return s + 1 if s * s == x else s + 2
-
-
 def cmd_heis_family(
     n_max: int,
     out: str,
@@ -184,7 +176,7 @@ def cmd_heis_family(
     meta: dict = {"n_max": n_max}
     if n_max >= 3:
         if radius is None:
-            radius = 4 * n_max + 2 + _family_depth_bound(n_max) + 1
+            radius = 4 * n_max + 2 + _depth_bound_ceil(n_max) + 1
         meta["radius"] = radius
         index = ball(HeisenbergGroup(), radius)
         for n in range(3, n_max + 1):

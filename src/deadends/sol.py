@@ -12,6 +12,12 @@ evaluates to is read off from the pair of Laurent polynomials collecting
 the deposits degree by degree.  Everything metric here (minimal supports,
 the linear-time length formula, the wreath oracle, flat candidates) goes
 through that picture.
+
+Minimal supports come from iterative deepening over unit strips inside a
+degree window.  The window is proven, not floating point: it follows from a
+lemma on the contracting part of the target vector and is decided by exact
+sign tests in Z[sqrt(tr^2 - 4 det)].  The search memo of a matrix lives on
+its HypMatrix and counts against DEADEND_BUDGET; past it, ResourceCap.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .core import (
     OutOfBox,
     Word,
 )
-from .search import BallIndex, ClaimViolation
+from .search import BallIndex, ClaimViolation, ResourceCap, default_budget
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Vec2 = tuple[int, int]
@@ -93,6 +99,7 @@ class HypMatrix:
         self.trace = tr
         inv: Mat2 = ((det * s, -det * r), (-det * q, det * p))
         self._pow: dict[int, Mat2] = {0: _ID2, 1: m, -1: inv}
+        self._support_search: Optional["_SupportSearch"] = None  # built on first use
 
     def power(self, k: int) -> Mat2:
         cached = self._pow.get(k)
@@ -382,148 +389,333 @@ class SolGroup(MarkedGroup):
 
 # ---------------------------------------------------------------------------
 # Minimal supports.
+#
+# Degree window.  Write P = z_c v_c for the contracting part of a plane
+# vector z, i.e. its image under the spectral projector P_c onto the
+# contracting line along the expanding one, and let D be the Euclidean
+# distance from P to Z^2.  Suppose a support of z with l units has no term
+# at a degree d with |d| < N.  Split it into the high part H (degrees >= N)
+# and the low part L (degrees <= -N), so z = H + L.  Then
+#
+#     L - P = P_e L - P_c H,    |P_e L| + |P_c H| <= l mu |tau|^-N,
+#
+# because P_e R^d e_i = tau^d P_e e_i and P_c R^d e_i = (det/tau)^d P_c e_i,
+# where mu bounds the Euclidean norms of the columns of P_e and P_c.  L is a
+# lattice point, so D <= l mu |tau|^-N; a window N with |tau|^N > c l / D,
+# c >= mu, leaves no such support.  c is max(2, ceil(mu)).  mu <= 1 when the
+# eigenlines are orthogonal (symmetric R), and there c = 2 is the constant
+# the window has always used, which the support counts at non-minimal
+# lengths depend on.  Skewed eigenlines need a larger c.
+#
+# Everything in the window is exact.  With Delta = tr^2 - 4 det and
+# sigma = sign(tr), tau = (tr + sigma sqrt(Delta)) / 2 and
+#
+#     P = (z + w / sqrt(Delta)) / 2,    w = sigma (tr z - 2 R z)  in Z^2,
+#
+# so each coordinate of P, its rounding and D^2 live in Q(sqrt(Delta)), and
+# every comparison is an integer sign test of x + y sqrt(Delta).  Delta is
+# never a square for admissible R (tr^2 - 4 = m^2 forces |tr| = 2, and
+# tr^2 + 4 = m^2 forces tr = 0), so both eigenlines are irrational.
+#
+# For the zero vector the lemma says nothing (the characteristic relation
+# gives supports of 0 at every degree); D is read as 1 there.  Minimal
+# supports never rely on it: stripping a unit from a minimal support of
+# z != 0 leaves a minimal support of the remainder, which is 0 only when
+# nothing is left.  It bounds the supports of 0 counted at longer lengths.
 
 
-def _contracting_gap(zvec: Vec2, eg: EigenGeometry) -> float:
-    """Distance from the contracting component z_c v_c to the integer lattice.
+def _sign(x: int, y: int, disc: int) -> int:
+    """Sign of x + y sqrt(disc), for disc > 0 not a square."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    lhs, rhs = x * x, y * y * disc
+    return (1 if lhs > rhs else -1) if x > 0 else (1 if rhs > lhs else -1)
 
-    Positive whenever zvec != 0: the component is a lattice point only if it
-    is 0, which forces zvec onto the expanding line, irrational for these R.
+
+def _floor_over_sqrt(a: int, disc: int) -> int:
+    """floor(a / sqrt(disc)); a / sqrt(disc) is irrational unless a == 0."""
+    if a >= 0:
+        return math.isqrt(a * a // disc)
+    return -math.isqrt(a * a // disc) - 1
+
+
+def _add_unit(terms: tuple, k: int, s: int) -> Optional[tuple]:
+    """Sorted (degree, coeff) terms plus s t^k, or None if the unit cancels."""
+    for i, (d, c) in enumerate(terms):
+        if d == k:
+            if c * s < 0:
+                return None
+            return terms[:i] + ((d, c + s),) + terms[i + 1:]
+        if d > k:
+            return terms[:i] + ((k, s),) + terms[i:]
+    return terms + ((k, s),)
+
+
+class _SupportSearch:
+    """Support search for one matrix: exact degree windows, one strip table
+    per window size, and the reach and exact-length memos.
+
+    Memo keys are (x, y, l).  reach[(x, y, l)] says whether (x, y) has a
+    support of length at most l; reps[(x, y, l)] holds every support of
+    length exactly l found through in-window strips, as sorted
+    (p1 terms, p2 terms) pairs.  Both memos count against `budget`.
     """
-    _, z_c = eg.split(zvec)
-    px, py = z_c * eg.v_c[0], z_c * eg.v_c[1]
-    best = None
-    for ix in range(round(px) - 2, round(px) + 3):
-        for iy in range(round(py) - 2, round(py) + 3):
-            d = math.hypot(px - ix, py - iy)
-            if d < 1e-12:
+
+    def __init__(self, R: HypMatrix):
+        (p, r), (q, s) = R.rows
+        tr, det = R.trace, R.det
+        self._R = R
+        self._rows = (p, r, q, s)
+        self._tr = tr
+        self._disc = disc = tr * tr - 4 * det
+        self._sigma = 1 if tr >= 0 else -1
+        # 2 |tau|^2 = u1 + v1 sqrt(Delta); _tpow[n] = (U, V) with
+        # U + V sqrt(Delta) = 2^n |tau|^(2n).
+        self._t1 = (tr * tr - 2 * det, abs(tr))
+        self._tpow = [(1, 0), self._t1]
+        self._log_t = 2.0 * math.log((abs(tr) + math.sqrt(disc)) / 2.0)
+        self._c2 = self._window_constant() ** 2
+        self._unit_forms = frozenset((abs(q), abs(r)))
+        self._strips: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        self._units: dict[int, frozenset[Vec2]] = {}
+        self.reach_memo: dict[tuple[int, int, int], bool] = {}
+        self.reps_memo: dict[tuple[int, int, int], tuple] = {}
+        self.budget = 0
+
+    def _w(self, x: int, y: int) -> Vec2:
+        """sigma (tr z - 2 R z): P = (z + w / sqrt(Delta)) / 2."""
+        p, r, q, s = self._rows
+        tr, sg = self._tr, self._sigma
+        return (sg * (tr * x - 2 * (p * x + r * y)),
+                sg * (tr * y - 2 * (q * x + s * y)))
+
+    def _window_constant(self) -> int:
+        """max(2, ceil(mu)), mu the largest column norm of P_c and P_e.
+
+        For a column e, 4 Delta |P e|^2 = Delta |e|^2 + |w|^2 +- 2 (e.w)
+        sqrt(Delta), with the sign + for P_c and - for P_e.
+        """
+        disc = self._disc
+        cols = []
+        for e in ((1, 0), (0, 1)):
+            wx, wy = self._w(*e)
+            rest = disc + wx * wx + wy * wy
+            dot = e[0] * wx + e[1] * wy
+            cols += [(rest, 2 * dot), (rest, -2 * dot)]
+        c = 2
+        while any(_sign(4 * disc * c * c - a, -b, disc) < 0 for a, b in cols):
+            c += 1
+        return c
+
+    def _tau_pow(self, n: int) -> tuple[int, int]:
+        tp = self._tpow
+        u1, v1 = self._t1
+        while len(tp) <= n:
+            u, v = tp[-1]
+            tp.append((u * u1 + v * v1 * self._disc, u * v1 + v * u1))
+        return tp[n]
+
+    def window(self, x: int, y: int, l: int) -> int:
+        """Least N >= 1 with |tau|^N > c l / D, decided exactly.
+
+        Coordinatewise rounding of P gives the nearest lattice point
+        (squared distance separates by coordinate); a tie needs w_x = 0, and
+        then both choices give the same distance.  With a = z - 2 round(P),
+        2 sqrt(Delta) (P - round(P)) = a sqrt(Delta) + w, so
+        4 Delta D^2 = A + B sqrt(Delta) with A = Delta |a|^2 + |w|^2 and
+        B = 2 a.w.  For z != 0, P is not a lattice point, so D > 0 and no
+        lattice point needs excluding: the contracting line meets Z^2 only
+        at 0, and P = 0 would put z on the expanding line, which also meets
+        Z^2 only at 0.
+        """
+        disc = self._disc
+        if x == 0 and y == 0:
+            A, B = 4 * disc, 0
+        else:
+            wx, wy = self._w(x, y)
+            ax = x - 2 * ((x + 1 + _floor_over_sqrt(wx, disc)) >> 1)
+            ay = y - 2 * ((y + 1 + _floor_over_sqrt(wy, disc)) >> 1)
+            A = disc * (ax * ax + ay * ay) + wx * wx + wy * wy
+            B = 2 * (ax * wx + ay * wy)
+            if _sign(A, B, disc) <= 0:
+                raise ClaimViolation("zero contracting gap at %r" % ((x, y),))
+        # |tau|^(2n) D^2 > c^2 l^2  <=>  (U + V sqrt)(A + B sqrt) > 2^(n+2) Delta c^2 l^2
+        K = 4 * disc * self._c2 * l * l
+
+        def clears(n: int) -> bool:
+            U, V = self._tau_pow(n)
+            return _sign(U * A + V * B * disc - (K << n), U * B + V * A, disc) > 0
+
+        # A float estimate only picks where to start; the exact tests decide.
+        d2 = (A + B * math.sqrt(disc)) / (4 * disc)
+        n = 1
+        if d2 > 0:
+            log_ratio = math.log(self._c2 * l * l) - math.log(d2)
+            n = max(1, int(log_ratio / self._log_t) + 1)
+        while n > 1 and clears(n - 1):
+            n -= 1
+        while not clears(n):
+            n += 1
+        return n
+
+    def strips(self, N: int) -> list[tuple[int, int, int, int, int]]:
+        """(k, comp, sign, dx, dy) for every signed unit sign R^k e_comp, |k| < N."""
+        table = self._strips.get(N)
+        if table is None:
+            table = []
+            for k in range(-N + 1, N):
+                col = self._R.power(k)
+                for comp in (0, 1):
+                    dx, dy = col[0][comp], col[1][comp]
+                    table.append((k, comp, 1, dx, dy))
+                    table.append((k, comp, -1, -dx, -dy))
+            self._strips[N] = table
+            self._units[N] = frozenset((dx, dy) for _k, _c, _s, dx, dy in table)
+        return table
+
+    def _store(self, memo: dict, key: tuple[int, int, int], value) -> None:
+        if len(self.reach_memo) + len(self.reps_memo) >= self.budget:
+            raise ResourceCap(
+                "support memo reached the budget of %d entries" % self.budget)
+        memo[key] = value
+
+    def reach(self, x: int, y: int, l: int) -> bool:
+        """Whether (x, y) has a support of length at most l.
+
+        A support of length l' <= l owns a term in the window of (z, l'),
+        which is inside the window of (z, l); stripping one unit there leaves
+        a support of length l' - 1 of the remainder, so in-window strips are
+        a complete search.  Level 1 is `_is_unit`, with no recursion and no
+        memo entry; above it every remainder is looked up in the memo before
+        any recursion.
+        """
+        if x == 0 and y == 0:
+            return True
+        if l <= 0:
+            return False
+        if l == 1:
+            return self._is_unit(x, y)
+        memo = self.reach_memo
+        key = (x, y, l)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        table = self.strips(self.window(x, y, l))
+        m = l - 1
+        if m == 1:
+            unit = self._is_unit
+            found = unit(x, y) or any(unit(x - dx, y - dy) for _k, _c, _s, dx, dy in table)
+        else:
+            found = False
+            open_rests = []
+            for _k, _c, _s, dx, dy in table:
+                rx, ry = x - dx, y - dy
+                hit = memo.get((rx, ry, m))
+                if hit or (rx == 0 and ry == 0):
+                    found = True
+                    break
+                if hit is None:
+                    open_rests.append((rx, ry))
+            else:
+                found = any(self.reach(rx, ry, m) for rx, ry in open_rests)
+        self._store(memo, key, found)
+        return found
+
+    def _is_unit(self, x: int, y: int) -> bool:
+        """Whether (x, y) = +-R^k e_i for some k, i.e. has a length-1 support.
+
+        Q(x, y) = q x^2 + (s - p) x y - r y^2 vanishes on both eigenlines, so
+        Q(R z) = det Q(z) and every unit has |Q| = |q| or |r|.  Other vectors
+        are rejected at once; the rest are matched against the strip vectors
+        of their window, which holds every unit they could be.
+        """
+        p, r, q, s = self._rows
+        if abs(q * x * x + (s - p) * x * y - r * y * y) not in self._unit_forms:
+            return False
+        N = self.window(x, y, 1)
+        self.strips(N)
+        return (x, y) in self._units[N]
+
+    def reps(self, x: int, y: int, l: int) -> tuple:
+        """Every support of length exactly l built from in-window strips.
+
+        Each is an in-window unit plus a length-(l - 1) support of the
+        remainder that the unit does not cancel.  At the minimal length of
+        a nonzero vector these are all of its minimal supports.
+        """
+        if l <= 0:
+            return (((), ()),) if (x == 0 and y == 0 and l == 0) else ()
+        key = (x, y, l)
+        found = self.reps_memo.get(key)
+        if found is not None:
+            return found
+        m = l - 1
+        out = set()
+        for k, comp, s, dx, dy in self.strips(self.window(x, y, l)):
+            rx, ry = x - dx, y - dy
+            if not self.reach(rx, ry, m):
                 continue
-            if best is None or d < best:
-                best = d
-    assert best is not None
-    return best
+            for t1, t2 in self.reps(rx, ry, m):
+                if comp == 0:
+                    q = _add_unit(t1, k, s)
+                    if q is not None:
+                        out.add((q, t2))
+                else:
+                    q = _add_unit(t2, k, s)
+                    if q is not None:
+                        out.add((t1, q))
+        found = tuple(sorted(out))
+        self._store(self.reps_memo, key, found)
+        return found
+
+
+def _support_search(R: HypMatrix | Sequence[Sequence[int]]) -> _SupportSearch:
+    """The support search of R, built on first use and kept on R; the
+    budget is read again on every call."""
+    if not isinstance(R, HypMatrix):
+        R = HypMatrix(R)
+    search = R._support_search
+    if search is None:
+        search = R._support_search = _SupportSearch(R)
+    search.budget = default_budget()
+    return search
+
+
+def _as_vectors(found: tuple) -> list[SupportVector]:
+    return [SupportVector(LaurentPoly(t1), LaurentPoly(t2)) for t1, t2 in found]
 
 
 def gaps_window(zvec: Vec2, l: int, R: HypMatrix) -> int:
     """Degree window N such that every support of zvec with length exactly l
     has at least one term strictly inside (-N, N).
 
-    If all terms sat at degrees |d| >= N, the high-degree half would land
-    within l/|tau|^N of the contracting line and the low-degree half within
-    l/|tau|^N of the expanding line, putting a lattice point within 2l/|tau|^N
-    of z_c v_c, below its distance D to the rest of the lattice.  For the
-    zero vector D is read as 1 (distance to the nearest other lattice point).
+    N is the least N >= 1 with |tau|^N > c l / D, decided in exact
+    arithmetic; the comment opening this section gives the argument.
     """
     if l <= 0:
         raise CapExceeded("no support of nonzero %r at length %d" % (zvec, l))
-    eg = eigen_geometry(R)
-    D = 1.0 if zvec == (0, 0) else _contracting_gap(zvec, eg)
-    ratio = 2.0 * l / D
-    at = abs(eg.tau)
-    n = max(1, int(math.floor(math.log(max(ratio, 1.0)) / math.log(at))) + 1)
-    while at ** n <= ratio:
-        n += 1
-    return n
-
-
-def _unit_strips(zvec: Vec2, l: int, R: HypMatrix):
-    """Single-unit removals allowed at this level: (degree, component, sign,
-    remaining vector) for every in-window signed unit coefficient."""
-    N = gaps_window(zvec, l, R)
-    for k in range(-N + 1, N):
-        col = R.power(k)
-        for comp in (0, 1):
-            step = (col[0][comp], col[1][comp])
-            for s in (1, -1):
-                yield k, comp, s, (zvec[0] - s * step[0], zvec[1] - s * step[1])
-
-
-def _reach(zvec: Vec2, l: int, R: HypMatrix, memo: dict) -> bool:
-    """Whether zvec has a support of total length at most l.
-
-    Recursive form of the finiteness argument: a support of exact length
-    l' <= l owns a term inside the (monotone in l) gaps window; stripping
-    one unit of it leaves a support of length l' - 1 for the adjusted
-    vector, so searching in-window unit strips is complete.
-    """
-    if zvec == (0, 0):
-        return True
-    if l <= 0:
-        return False
-    key = (zvec, l)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    found = any(_reach(rest, l - 1, R, memo) for _, _, _, rest in _unit_strips(zvec, l, R))
-    memo[key] = found
-    return found
-
-
-def _exact_reps(zvec: Vec2, l: int, R: HypMatrix, memo: dict,
-                reach_memo: dict) -> tuple[SupportVector, ...]:
-    """All supports of zvec with total length exactly l.
-
-    Builds each support out of an in-window unit plus an exact-length-(l-1)
-    support of the remainder; the no-cancellation filter keeps the length
-    honest, and every target support is found because the gaps lemma
-    guarantees it owns an in-window term to strip.
-    """
-    if zvec == (0, 0) and l == 0:
-        return (SupportVector(_ZERO, _ZERO),)
-    if l <= 0:
-        return ()
-    key = (zvec, l)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out: set[tuple] = set()
-    for k, comp, s, rest in _unit_strips(zvec, l, R):
-        if not _reach(rest, l - 1, R, reach_memo):
-            continue
-        for v in _exact_reps(rest, l - 1, R, memo, reach_memo):
-            p = v.p1 if comp == 0 else v.p2
-            if p.coeff(k) * s < 0:
-                continue  # unit would cancel: total length stays below l
-            q = p + LaurentPoly.monomial(k, s)
-            pair = (q, v.p2) if comp == 0 else (v.p1, q)
-            out.add((pair[0].terms, pair[1].terms))
-    result = tuple(
-        SupportVector(LaurentPoly(t1), LaurentPoly(t2))
-        for t1, t2 in sorted(out)
-    )
-    memo[key] = result
-    return result
-
-
-# Per-matrix memo tables shared across calls (keyed by the matrix rows).
-_REPS_MEMO: dict[Mat2, tuple[dict, dict]] = {}
-
-
-def _memo_tables(R: HypMatrix) -> tuple[dict, dict]:
-    tables = _REPS_MEMO.get(R.rows)
-    if tables is None:
-        tables = ({}, {})
-        _REPS_MEMO[R.rows] = tables
-    return tables
+    return _support_search(R).window(zvec[0], zvec[1], l)
 
 
 def _reps_at_length(zvec: Vec2, R: HypMatrix, l: int) -> list[SupportVector]:
     """All supports of zvec with total length exactly l."""
-    reps_memo, reach_memo = _memo_tables(R)
-    return list(_exact_reps(zvec, l, R, reps_memo, reach_memo))
+    return _as_vectors(_support_search(R).reps(zvec[0], zvec[1], l))
 
 
 def minimal_reps(zvec: Vec2, R: HypMatrix, l_cap: int = 24) -> list[SupportVector]:
-    """All minimal-length supports of zvec, by iterative deepening on length."""
-    if not isinstance(R, HypMatrix):
-        R = HypMatrix(R)
+    """All minimal-length supports of zvec, by iterative deepening on length.
+
+    Raises ResourceCap when the support memo of R outgrows DEADEND_BUDGET.
+    """
     if zvec == (0, 0):
         return [SupportVector(_ZERO, _ZERO)]
-    reps_memo, reach_memo = _memo_tables(R)
+    search = _support_search(R)
     for l in range(1, l_cap + 1):
-        found = _exact_reps(zvec, l, R, reps_memo, reach_memo)
+        found = search.reps(zvec[0], zvec[1], l)
         if found:
-            return list(found)
+            return _as_vectors(found)
     raise CapExceeded(
         "no support of %r within length cap %d" % (zvec, l_cap)
     )
@@ -533,17 +725,32 @@ def minimal_reps(zvec: Vec2, R: HypMatrix, l_cap: int = 24) -> list[SupportVecto
 # Word length: closed formula and wreath-product oracle.
 
 
+def _extent(v: SupportVector) -> tuple[int, int, int]:
+    """(max(0, top), min(0, bot), length): all that ll_length reads of v."""
+    top, bot = v.top, v.bot
+    return (max(0, top) if top is not None else 0,
+            min(0, bot) if bot is not None else 0, v.length)
+
+
+def _extents(reps: Iterable[SupportVector]) -> frozenset[tuple[int, int, int]]:
+    """Distinct extents of a vector's supports; ll_length needs no more."""
+    return frozenset(_extent(v) for v in reps)
+
+
+def _sweep_length(extent: tuple[int, int, int], z: int) -> int:
+    hi, lo, length = extent
+    mx = max(z, hi)
+    mn = min(z, lo)
+    return 2 * (mx - mn) + min(abs(z - mx) - mx, abs(z - mn) + mn) + length
+
+
 def ll_length(v: SupportVector, z: int) -> int:
     """Length of the shortest word depositing v and ending at axis position z.
 
     Two-sweep lamplighter distance: visit the occupied degrees on both sides
     of 0, ending at z, plus one letter per unit of deposit.
     """
-    top = v.top
-    bot = v.bot
-    mx = max(0, z, top if top is not None else 0)
-    mn = min(0, z, bot if bot is not None else 0)
-    return 2 * (mx - mn) + min(abs(z - mx) - mx, abs(z - mn) + mn) + v.length
+    return _sweep_length(_extent(v), z)
 
 
 class WreathZ2Z(MarkedGroup):
@@ -654,8 +861,8 @@ def abs_norm(g: SolElement, R: HypMatrix, l_cap: int = 24) -> int:
     Dominates the word norm |g| because geodesics may use non-minimal
     supports with a cheaper cursor sweep.
     """
-    reps = minimal_reps((g[0], g[1]), R, l_cap)
-    return min(ll_length(v, -g[2]) for v in reps)
+    extents = _extents(minimal_reps((g[0], g[1]), R, l_cap))
+    return min(_sweep_length(t, -g[2]) for t in extents)
 
 
 # ---------------------------------------------------------------------------
@@ -682,22 +889,22 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
     """
     if l_cap is None:
         l_cap = index.radius
-    reps_cache: dict[Vec2, list[SupportVector] | None] = {}
+    extents_cache: dict[Vec2, frozenset[tuple[int, int, int]] | None] = {}
     rows: list[tuple[SolElement, int, int, int]] = []
     skipped = 0
     max_gap = 0
     for e, d in index.items_sorted():
         u = (e[0], e[1])
-        if u not in reps_cache:
+        if u not in extents_cache:
             try:
-                reps_cache[u] = minimal_reps(u, R, l_cap)
+                extents_cache[u] = _extents(minimal_reps(u, R, l_cap))
             except CapExceeded:
-                reps_cache[u] = None
-        reps = reps_cache[u]
-        if reps is None:
+                extents_cache[u] = None
+        extents = extents_cache[u]
+        if extents is None:
             skipped += 1
             continue
-        norm = min(ll_length(v, -e[2]) for v in reps)
+        norm = min(_sweep_length(t, -e[2]) for t in extents)
         gap = norm - d
         if gap < 0:
             raise ClaimViolation(

@@ -202,6 +202,15 @@ class TestBudgetEnv:
         assert proc.returncode == 1
         assert "violation" in proc.stderr
 
+    def test_budget_env_var_caps_the_support_memo(self, specs, tmp_path,
+                                                   monkeypatch, capsys):
+        # The radius-6 ball has 1,521 elements; its sweep needs 2,376 memo entries.
+        monkeypatch.setenv("DEADEND_BUDGET", "2000")
+        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "6",
+                     "--out", str(tmp_path)]) == 1
+        assert "support memo" in capsys.readouterr().err
+        assert not (tmp_path / "sol_gap.csv").exists()
+
     def test_console_script_runs(self, specs, tmp_path):
         proc = subprocess.run(
             ["deadends", "ball", "--spec", specs["z2"], "--radius", "2",

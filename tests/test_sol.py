@@ -3,11 +3,12 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from deadends.core import OutOfBox, Word
-from deadends.search import ball
+from deadends.search import ResourceCap, ball
 from deadends.sol import (
     CapExceeded,
     HypMatrix,
@@ -37,6 +38,10 @@ from deadends.sol import (
 
 R_FIX = HypMatrix([[2, 1], [1, 1]])
 ZERO = LaurentPoly()
+# det -1 and trace 1; and R_FIX conjugated by the shear [[1, 10], [0, 1]],
+# whose eigenlines meet at about one degree.
+R_DETM1 = [[1, 1], [1, 0]]
+R_SKEW = [[12, -109], [1, -9]]
 
 
 def poly(*terms):
@@ -235,6 +240,174 @@ class TestMinimalReps:
                     if l > 0:
                         window = gaps_window((x, y), l, R_FIX)
                         assert min(abs(d) for d in v.degrees()) < window
+
+
+class _Surd:
+    """a + b sqrt(d) with rational a, b; exact reference arithmetic."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def _lift(self, o):
+        return o if isinstance(o, _Surd) else _Surd(o, 0, self.d)
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return _Surd(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, o):
+        o = self._lift(o)
+        return _Surd(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return _Surd(self.a * o.a + self.b * o.b * self.d,
+                     self.a * o.b + self.b * o.a, self.d)
+
+    def __truediv__(self, o):
+        o = self._lift(o)
+        n = o.a * o.a - o.b * o.b * self.d
+        return self * _Surd(o.a / n, -o.b / n, self.d)
+
+    def sign(self):
+        a, b = self.a, self.b
+        if a >= 0 and b >= 0:
+            return int(a > 0 or b > 0)
+        if a <= 0 and b <= 0:
+            return -1
+        diff = a * a - b * b * self.d
+        return (1 if diff > 0 else -1) if a > 0 else (1 if diff < 0 else -1)
+
+    def __gt__(self, o):
+        return (self - o).sign() > 0
+
+
+def exact_window_oracle(rows):
+    """Reference for gaps_window: l -> least N >= 1 with |tau|^N > c l / D.
+
+    Builds the spectral projector P_c = (tau I - R) / (tau - lam) in
+    Q(sqrt(Delta)), finds the nearest lattice point to P_c z by exact floor
+    search, and takes c = max(2, ceil(mu)) from the projector columns.
+    """
+    (p, r), (q, s) = rows
+    tr, det = p + s, p * s - q * r
+    disc = tr * tr - 4 * det
+    root = _Surd(0, 1 if tr >= 0 else -1, disc)
+    tau = (root + tr) / 2
+    lam = _Surd(tr, 0, disc) - tau
+    pc = [[(tau * int(i == j) - rows[i][j]) / (tau - lam) for j in (0, 1)]
+          for i in (0, 1)]
+    pe = [[_Surd(int(i == j), 0, disc) - pc[i][j] for j in (0, 1)] for i in (0, 1)]
+    mu2 = [m[0][j] * m[0][j] + m[1][j] * m[1][j] for m in (pc, pe) for j in (0, 1)]
+    c = 2
+    while any(v > c * c for v in mu2):
+        c += 1
+    t2 = tau * tau
+
+    def floor(x):
+        n = math.floor(float(x.a) + float(x.b) * math.sqrt(disc))
+        while _Surd(n, 0, disc) > x:
+            n -= 1
+        while not _Surd(n + 1, 0, disc) > x:
+            n += 1
+        return n
+
+    def gap2(z):
+        if z == (0, 0):
+            return _Surd(1, 0, disc)
+        P = [pc[i][0] * z[0] + pc[i][1] * z[1] for i in (0, 1)]
+        best = None
+        for ix in (floor(P[0]), floor(P[0]) + 1):
+            for iy in (floor(P[1]), floor(P[1]) + 1):
+                d2 = (P[0] - ix) * (P[0] - ix) + (P[1] - iy) * (P[1] - iy)
+                if best is None or best > d2:
+                    best = d2
+        return best
+
+    def window(z, ls):
+        d2 = gap2(z)
+        out = {}
+        for l in ls:
+            n, pw = 1, t2
+            while not pw * d2 > c * c * l * l:
+                n, pw = n + 1, pw * t2
+            out[l] = n
+        return out
+
+    return window, c
+
+
+class TestWindow:
+    @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, R_SKEW])
+    def test_matches_exact_oracle(self, rows):
+        R = HypMatrix(rows)
+        oracle, c = exact_window_oracle(rows)
+        assert c == (2 if rows != R_SKEW else 50)
+        # The box, plus columns of R^k, which hug the expanding line.
+        vecs = set(itertools.product(range(-6, 7), repeat=2))
+        for k in range(3, 9):
+            col = R.power(k)
+            for i in (0, 1):
+                for dx, dy in ((0, 0), (1, 0), (0, -1)):
+                    vecs.add((col[0][i] + dx, col[1][i] + dy))
+                    vecs.add((-col[0][i] - dx, -col[1][i] - dy))
+        ls = (1, 2, 3, 5, 8)
+        for z in sorted(vecs):
+            want = oracle(z, ls)
+            assert {l: gaps_window(z, l, R) for l in ls} == want, z
+
+    def test_boundary_case_is_strict(self):
+        """|tau|^2 D = 2 exactly at (14, 0), so l = 1 needs N = 3."""
+        assert gaps_window((14, 0), 1, R_FIX) == 3
+
+    def test_support_memo_budget(self, monkeypatch):
+        monkeypatch.setenv("DEADEND_BUDGET", "20")
+        with pytest.raises(ResourceCap):
+            minimal_reps((7, 3), HypMatrix(R_FIX.rows))
+        monkeypatch.setenv("DEADEND_BUDGET", "1000000")
+        assert minimal_reps((7, 3), HypMatrix(R_FIX.rows)) == minimal_reps((7, 3), R_FIX)
+
+
+def brute_force_supports(R, max_degree=3, max_length=3):
+    """Reference enumerator: value -> (least length, supports of that length)
+    over every support with degrees in [-max_degree, max_degree] and at
+    most max_length units."""
+    units = [(k, comp, s) for k in range(-max_degree, max_degree + 1)
+             for comp in (0, 1) for s in (1, -1)]
+    best = {}
+    for n in range(max_length + 1):
+        for combo in itertools.combinations_with_replacement(units, n):
+            coeff = {}
+            for k, comp, s in combo:
+                coeff[k, comp] = coeff.get((k, comp), 0) + s
+            if sum(abs(c) for c in coeff.values()) != n:
+                continue  # a unit and its negative cancel
+            v = SupportVector(
+                LaurentPoly.from_terms((k, c) for (k, comp), c in coeff.items() if comp == 0),
+                LaurentPoly.from_terms((k, c) for (k, comp), c in coeff.items() if comp == 1))
+            z = v.value(R)
+            if z not in best or n < best[z][0]:
+                best[z] = (n, set())
+            if n == best[z][0]:
+                best[z][1].add(v)
+    return best
+
+
+@pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, R_SKEW])
+def test_minimal_reps_against_brute_force(rows):
+    R = HypMatrix(rows)
+    brute = brute_force_supports(R)
+    checked = 0
+    for z in itertools.product(range(-6, 7), repeat=2):
+        if z not in brute:
+            continue
+        reps = minimal_reps(z, R)
+        length, supports = brute[z]
+        assert reps[0].length <= length, z
+        if reps[0].length == length:
+            assert supports <= set(reps), z
+        checked += 1
+    assert checked >= 45
 
 
 class TestLengthFormula:
