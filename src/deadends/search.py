@@ -254,24 +254,55 @@ def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthRepor
     return DepthReport(element, d0, d, witness)
 
 
+def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
+    """Test (element, v) -> bool: does a letter of weight below b take
+    element to an indexed element whose f value (f maps keys) exceeds v?
+
+    When it does, with v = f(element), an outward search over the index
+    meets that neighbour at distance w < b, or stops at its cap below w,
+    so the f-depth it reports is at most w and never reaches b.
+    """
+    group = index.group
+    table = index.table
+    step, key = group.apply_letter, group.key
+    light = [lt for lt in group.alphabet.signed_letters() if group.letter_weight(lt) < b]
+
+    def climbs(element, v) -> bool:
+        for lt in light:
+            k = key(step(element, lt))
+            if k in table and f(k) > v:
+                return True
+        return False
+
+    return climbs
+
+
 def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
                  cap: Optional[int] = None) -> list[DepthReport]:
     """All certifiable elements of depth >= min_depth, ordered by (distance, key).
 
     Only elements with distance + cap <= radius are scanned; reports flagged
     exceeds_cap carry depth lower bounds >= cap+1 > min_depth.
+
+    An element with a strictly farther neighbour across a letter of weight
+    w < min_depth is skipped without a search: that neighbour is indexed
+    (w < min_depth <= cap and distance + cap <= radius), so depth <= w.
     """
     if cap is None:
         cap = min_depth
     if cap < min_depth:
         raise DeadendError("cap %d below min_depth %d" % (cap, min_depth))
+    table = index.table
+    climbs = _outward_step(index, lambda k: table[k][1], min_depth)
     out = []
-    for e, d0 in index.items_sorted():
-        if d0 + cap > index.radius:
+    for e, d0 in table.values():
+        if d0 + cap > index.radius or climbs(e, d0):
             continue
         report = depth(group, e, index, cap)
         if report.depth >= min_depth:
             out.append(report)
+    key = index.group.key
+    out.sort(key=lambda r: (r.distance_from_identity, key(r.element)))
     return out
 
 
@@ -395,6 +426,7 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
                 "|d1 - d2| >= %d at %s" % (C, index.group.render(index.table[k][0])))
     threshold = max(C + 1, min_source_depth or 0)
     group = index.group
+    climbs = _outward_step(index, d1.__getitem__, threshold)
     rows = []
     scanned = 0
     for e, d0 in index.items_sorted():
@@ -402,9 +434,7 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
         if cap < 1:
             continue
         k = group.key(e)
-        f1 = d1[k]
-        # cheap prefilter: all letter-neighbors must stay <= f1 under d1
-        if any(d1[group.key(nb)] > f1 for nb, _w in index.neighbors_in_ball(e)):
+        if climbs(e, d1[k]):
             continue
         scanned += 1
         D, exceeded = function_depth(index, d1, e, cap)

@@ -75,6 +75,11 @@ class TestSymmetries:
             for e in ((1, 0, 0), (0, 1, 0), (2, -3, 5)):
                 assert inv.on_element(sym.on_element(e)) == e
 
+    @given(st.sampled_from(_SYMMETRIES), heis_words())
+    def test_inverse_undoes_word_action(self, sym, w):
+        assert sym.inverse() in _SYMMETRIES
+        assert sym.inverse().on_word(sym.on_word(w)) == w
+
 
 class TestWitnesses:
     @pytest.mark.parametrize("n", range(1, 7))

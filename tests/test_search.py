@@ -2,7 +2,7 @@
 
 import pytest
 
-from deadends.abelian import standard_zn
+from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
 from deadends.core import DeadendError, Word
 from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup, heis_inverse
@@ -135,6 +135,43 @@ class TestDeadendScan:
         with pytest.raises(DeadendError):
             deadend_scan(heis_group, heis_ball22, 3, cap=2)
 
+    @staticmethod
+    def _brute_force(g, idx, min_depth, cap=None):
+        """depth() on every element with room, filtered and in (distance, key) order."""
+        cap = min_depth if cap is None else cap
+        reports = (depth(g, e, idx, cap) for e, d in idx.items_sorted()
+                   if d + cap <= idx.radius)
+        return [r for r in reports if r.depth >= min_depth]
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_heis_matches_brute_force(self, cap):
+        g = HeisenbergGroup()
+        idx = ball(g, 12)
+        expected = self._brute_force(g, idx, 2, cap)
+        assert expected
+        if cap is not None:
+            assert any(r.exceeds_cap for r in expected)
+        assert deadend_scan(g, idx, 2, cap=cap) == expected
+
+    def test_weighted_matches_brute_force(self):
+        # Every hit here has a strictly farther neighbour, across a weight-3
+        # letter only: that bounds its depth by 3, so it must not exclude.
+        g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3), ((3, 1), 3))))
+        idx = ball(g, 10)
+        expected = self._brute_force(g, idx, 2)
+        assert len(expected) == 12
+        for r in expected:
+            assert any(idx.distance(nb) > r.distance_from_identity and w == 3
+                       for nb, w in idx.neighbors_in_ball(r.element))
+        assert deadend_scan(g, idx, 2) == expected
+
+    def test_free_group_matches_brute_force(self):
+        g = FreeGroup(2)
+        idx = ball(g, 6)
+        expected = self._brute_force(g, idx, 1)
+        assert expected
+        assert deadend_scan(g, idx, 1) == expected
+
 
 def _dominates(index, f, center, radius):
     """f attains its max over the radius-ball at the center, per the index."""
@@ -215,6 +252,20 @@ class TestDepthTransfer:
         d = {g.key(e): dd for e, dd in idx.items_sorted()}
         report = depth_transfer_check(idx, d, d, 1)
         assert report.rows == []
+
+    def test_weighted_sources_are_kept(self):
+        # One generator of weight 2: every element has a farther neighbour,
+        # but only across a letter too heavy to bound the depth below 2.
+        g = WeightedZnGroup(WeightedGenSet(1, (((1,), 2),)))
+        idx = ball(g, 8)
+        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        report = depth_transfer_check(idx, d, d, 1)
+        sources = [e for e, dd in idx.items_sorted() if dd + 2 <= idx.radius]
+        assert [row.source for row in report.rows] == sources
+        assert report.sources_scanned == len(sources)
+        for row in report.rows:
+            cap = idx.radius - d[g.key(row.source)]
+            assert row.source_depth == function_depth(idx, d, row.source, cap)[0] == 2
 
     def test_pointwise_bound_enforced(self):
         g = standard_zn(2)
