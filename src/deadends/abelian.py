@@ -15,7 +15,6 @@ the reduced pseudo-norm sandwiches the true word length.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, Word
-from .search import (BallIndex, BoundViolated, InsufficientRadius, ResourceCap,
-                     default_budget, depth)
+from .search import (BallIndex, InsufficientRadius, ResourceCap, _uniform_cost,
+                     certified_max_depth, default_budget)
 
 Vec = tuple[int, ...]
 
@@ -154,18 +153,15 @@ def standard_zn(n: int) -> WeightedZnGroup:
 
 def weighted_distance(ws: WeightedGenSet, v: Vec, budget: Optional[int] = None) -> int:
     """Weighted word length of v: uniform-cost search from the origin."""
-    d = weighted_distances(ws, [tuple(v)], budget)[tuple(v)]
-    if d is None:
-        raise NotGenerating("target %r not reached within budget" % (v,))
-    return d
+    return weighted_distances(ws, [tuple(v)], budget)[tuple(v)]
 
 
 def weighted_distances(ws: WeightedGenSet, targets: Iterable[Vec],
                        budget: Optional[int] = None) -> dict:
     """Weighted distances for many targets with a single search.
 
-    Unreached targets map to None (only possible when the budget trips;
-    generation is checked at construction time).
+    Every target is reached, since generation is checked at construction
+    time; a search that settles more than budget points raises ResourceCap.
     """
     if budget is None:
         budget = default_budget()
@@ -174,33 +170,18 @@ def weighted_distances(ws: WeightedGenSet, targets: Iterable[Vec],
         if len(t) != ws.n:
             raise DeadendError("target %r has wrong dimension" % (t,))
         remaining.add(tuple(t))
-    out: dict = {t: None for t in remaining}
-    zero = (0,) * ws.n
-    heap = [(0, zero)]
-    dist = {zero: 0}
-    done = set()
-    moves = []
-    for v, w in ws.gens:
-        moves.append((v, w))
-        moves.append((_vec_neg(v), w))
-    while heap and remaining:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if len(done) > budget:
+    out: dict = {}
+    if not remaining:
+        return out
+    group = WeightedZnGroup(ws)
+    for settled, (d, u, _e) in enumerate(_uniform_cost(group, group.identity, math.inf), 1):
+        if settled > budget:
             raise ResourceCap("weighted distance search exceeded budget %d" % budget)
         if u in remaining:
             out[u] = d
             remaining.discard(u)
             if not remaining:
                 break
-        for mv, w in moves:
-            nu = _vec_add(u, mv)
-            nd = d + w
-            if nd < dist.get(nu, nd + 1):
-                dist[nu] = nd
-                heapq.heappush(heap, (nd, nu))
     return out
 
 
@@ -230,22 +211,33 @@ class ScaledPolytope:
         raise NotAFacet("no facet with functional %r" % (functional,))
 
 
+def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact reduced row echelon form over Q, and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        inv = 1 / m[top][col]
+        m[top] = [x * inv for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
 def _solve_functional(points: list[Vec]) -> Optional[tuple[Fraction, ...]]:
     """Rational a with a . p = 1 for each p, or None if the system is singular."""
     n = len(points)
-    m = [[Fraction(points[r][c]) for c in range(n)] + [Fraction(1)] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
+    m, pivots = _row_reduce([list(p) + [1] for p in points])
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in m)
 
 
 def build_polytope(ws: WeightedGenSet) -> ScaledPolytope:
@@ -260,8 +252,7 @@ def build_polytope(ws: WeightedGenSet) -> ScaledPolytope:
         for q in (p, _vec_neg(p)):
             if q not in points:
                 points.append(q)
-    rank_vecs = list(points)
-    if len(rank_vecs) < ws.n or _rank(rank_vecs, ws.n) < ws.n:
+    if _rank(points) < ws.n:
         raise DegenerateHull("scaled generators span rank < %d" % ws.n)
 
     facets: dict = {}
@@ -284,16 +275,8 @@ def build_polytope(ws: WeightedGenSet) -> ScaledPolytope:
     return ScaledPolytope(M, scaled, tuple(points), tuple(out))
 
 
-def _rank(vecs: list[Vec], n: int) -> int:
-    for r in range(n, 0, -1):
-        for combo in itertools.combinations(vecs, r):
-            sub = [list(v) for v in combo]
-            # rank r iff some r x r minor is nonzero
-            for cols in itertools.combinations(range(n), r):
-                minor = [[row[c] for c in cols] for row in sub]
-                if _det(minor) != 0:
-                    return r
-    return 0
+def _rank(vecs: list[Vec]) -> int:
+    return len(_row_reduce(vecs)[1])
 
 
 def _letter_for_scaled(ws: WeightedGenSet, poly: ScaledPolytope, p: Vec):
@@ -367,21 +350,11 @@ def _parallelepiped_points(basis: Sequence[Vec], n: int) -> list[Vec]:
         b = basis[0][0]
         lo, hi = min(0, b), max(0, b)
         return [(x,) for x in range(lo, hi + 1)]
-    cols = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
     # invert the basis matrix (columns are the generators)
-    mat = [[cols[r][c] for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return []  # degenerate simplex contributes nothing
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    mat, pivots = _row_reduce([[basis[j][r] for j in range(n)] + [int(r == c) for c in range(n)]
+                               for r in range(n)])
+    if pivots != list(range(n)):
+        return []  # degenerate simplex contributes nothing
     inv_rows = [row[n:] for row in mat]
     ranges = []
     for c in range(n):
@@ -411,7 +384,8 @@ class DepthBoundReport:
 
 def depth_bound(ws: WeightedGenSet, index: BallIndex) -> DepthBoundReport:
     """Uniform depth bound 2D + M + 1 from the facet geometry, then verify
-    it against oracle depths for every element the index can certify."""
+    it against oracle depths for every element the index can certify
+    (search.certified_max_depth; a violation raises ClaimViolation)."""
     poly = build_polytope(ws)
     cell_pts = set()
     for facet in poly.facets:
@@ -419,26 +393,10 @@ def depth_bound(ws: WeightedGenSet, index: BallIndex) -> DepthBoundReport:
             if len(simplex) == ws.n:
                 cell_pts.update(_parallelepiped_points(simplex, ws.n))
     dists = weighted_distances(ws, cell_pts)
-    if any(d is None for d in dists.values()):
-        raise NotGenerating("cell point unreachable")  # pragma: no cover
     D = max(dists.values()) if dists else 0
     bound = 2 * D + poly.M + 1
 
-    group = index.group
-    max_seen = 0
-    checked = 0
-    for e, d0 in index.items_sorted():
-        cap = index.radius - d0
-        if cap < 1:
-            continue
-        cap_used = min(cap, bound)
-        report = depth(group, e, index, cap_used)
-        if report.exceeds_cap:
-            if cap_used == bound:
-                raise BoundViolated("depth > %d at %s" % (bound, group.render(e)))
-            continue  # too close to the ball boundary to certify
-        checked += 1
-        max_seen = max(max_seen, report.depth)
+    max_seen, checked = certified_max_depth(index, bound)
     if checked == 0:
         raise InsufficientRadius("index radius %d certifies no depths" % index.radius)
     return DepthBoundReport(bound, D, max_seen, checked)
@@ -660,7 +618,7 @@ def sandwich_check(spec: EuclideanSpec, radius: int) -> SandwichReport:
         if e[1] != ident_mat:
             continue
         norm = norms[e[0]]
-        if norm is None or norm > d:
+        if norm > d:
             raise DeadendError("reduced norm %r exceeds word length %d at %r"
                                % (norm, d, e))
         gap = d - norm

@@ -22,7 +22,7 @@ from .core import (
     UnknownLetter,
     Word,
 )
-from .search import BallIndex, ClaimViolation, depth
+from .search import BallIndex, ClaimViolation, certified_max_depth
 
 
 class TooShort(DeadendError):
@@ -235,6 +235,7 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
         if dfa.start in dfa.accept:
             covered.add(start_key)
         frontier: list[tuple] = [(dfa.start, start_key)]
+        letters = dfa.alphabet.signed_letters()
         d = 0
         while frontier and d < index.radius:
             d += 1
@@ -242,12 +243,13 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
             for node in frontier:
                 s, _ekey = node
                 e = parents[node][2]
-                for lt in dfa.alphabet.signed_letters():
+                for lt in letters:
                     s2 = dfa.step(s, lt)
                     if s2 is None or s2 not in alive:
                         continue
                     e2 = group.apply_letter(e, lt)
-                    key2 = (s2, group.key(e2))
+                    ekey2 = group.key(e2)
+                    key2 = (s2, ekey2)
                     words_checked += 1
                     dist = index.distance(e2)  # words can't outrun the ball
                     prev = seen.get(key2)
@@ -264,15 +266,13 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
                             counter_word = word_to(key2) + suffixes[s2]
                         continue
                     if s2 in dfa.accept:
-                        covered.add(group.key(e2))
+                        covered.add(ekey2)
                     nxt.append(key2)
             frontier = nxt
-    missing = [
-        e for e, _d in index.items_sorted() if group.key(e) not in covered
-    ]
+    missing = [(d, k) for k, (_e, d) in index.table.items() if k not in covered]
     complete = not missing
     if missing:
-        counter_elem = group.render(missing[0])
+        counter_elem = group.render(index.table[min(missing)[1]][0])
     return VerifyReport(
         sound=sound,
         complete=complete,
@@ -330,34 +330,14 @@ def depth_bound_check(
 ) -> tuple[int, int]:
     """Max oracle depth over ball elements with margin, and the 2n bound.
 
-    The cap adapts to the room left inside the ball: finding a farther
-    element within cap certifies depth <= cap <= bound, while a miss is
-    conclusive only when the full bound+1 window fit.  Elements on the
-    boundary sphere are skipped.  Any certified depth above 2 n_states
-    contradicts the pumping bound and raises ClaimViolation.
+    Depths are certified by search.certified_max_depth with bound
+    2 n_states: any element certified deeper than that contradicts the
+    pumping bound and raises ClaimViolation.
     """
     if verification.dfa is not dfa or not verification.ok:
         raise SoundnessUnverified("depth bound needs a fully verified DFA")
     bound = 2 * dfa.n_states
-    max_depth = 0
-    for e, dist in index.items_sorted():
-        cap = min(bound + 1, index.radius - dist)
-        if cap < 1:
-            continue
-        rep = depth(group, e, index, cap=cap)
-        if rep.exceeds_cap:
-            if cap == bound + 1:
-                raise ClaimViolation(
-                    "element %s has depth > %d" % (group.render(e), bound)
-                )
-            continue  # too close to the boundary to certify
-        if rep.depth > bound:
-            raise ClaimViolation(
-                "element %s has depth %d > %d"
-                % (group.render(e), rep.depth, bound)
-            )
-        max_depth = max(max_depth, rep.depth)
-    return (max_depth, bound)
+    return (certified_max_depth(index, bound)[0], bound)
 
 
 class FreeGroup(MarkedGroup):

@@ -11,10 +11,10 @@ is hit, the report carries a flagged lower bound instead.
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from .core import DeadendError, MarkedGroup
@@ -152,27 +152,43 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
             frontier = next_frontier
         return BallIndex(group, radius, table, spheres)
 
-    # Weighted uniform-cost search.  Entries ordered by (distance, key).
+    # Weighted: settled in (distance, key) order.
     table = {}
     spheres = {}
-    heap: list = [(0, group.key(ident), ident)]
-    while heap:
-        d, k, e = heapq.heappop(heap)
-        if k in table:
-            continue
+    for d, k, e in _uniform_cost(group, ident, radius):
         if len(table) >= budget:
             raise ResourceCap("ball(radius=%d) exceeds element budget %d" % (radius, budget))
         table[k] = (e, d)
         spheres[d] = spheres.get(d, 0) + 1
-        for lt in letters:
-            nd = d + group.letter_weight(lt)
-            if nd > radius:
-                continue
-            n = group.apply_letter(e, lt)
-            nk = group.key(n)
-            if nk not in table:
-                heapq.heappush(heap, (nd, nk, n))
     return BallIndex(group, radius, table, spheres)
+
+
+def _uniform_cost(group: MarkedGroup, start, cap, inside: Optional[dict] = None):
+    """Yield (distance, key, element) for everything within cap of start.
+
+    Uniform-cost search settling each node once, in (distance, key) order,
+    so the output never depends on hash seeds.  Only steps whose target key
+    is in inside are taken; with None, every step is.
+    """
+    step, key = group.apply_letter, group.key
+    letters = [(lt, group.letter_weight(lt)) for lt in group.alphabet.signed_letters()]
+    k0 = key(start)
+    best = {k0: 0}
+    heap = [(0, k0, start)]
+    while heap:
+        d, k, e = heappop(heap)
+        if d > best[k]:
+            continue
+        yield d, k, e
+        for lt, w in letters:
+            nd = d + w
+            if nd > cap:
+                continue
+            n = step(e, lt)
+            nk = key(n)
+            if (inside is None or nk in inside) and nd < best.get(nk, nd + 1):
+                best[nk] = nd
+                heappush(heap, (nd, nk, n))
 
 
 def distance(group: MarkedGroup, element, index: BallIndex) -> int:
@@ -202,37 +218,6 @@ class DepthReport:
         }
 
 
-def _outward_search(index: BallIndex, start, cap: int,
-                    predicate: Callable[[Any, Any], bool]):
-    """Nearest element (by word metric from start, within the index) where
-    predicate(key, element) holds.  Returns (element, dist) or None.
-
-    Uniform-cost over index adjacency with (distance, key) pops, so the
-    returned witness is the deterministic lexicographic-least nearest one.
-    """
-    group = index.group
-    start_key = group.key(start)
-    heap = [(0, start_key, start)]
-    seen = {start_key: 0}
-    while heap:
-        d, k, e = heapq.heappop(heap)
-        if d > seen.get(k, d):
-            continue
-        if d > 0 and predicate(k, e):
-            return e, d
-        if d >= cap:
-            continue
-        for n, w in index.neighbors_in_ball(e):
-            nd = d + w
-            if nd > cap:
-                continue
-            nk = group.key(n)
-            if nd < seen.get(nk, nd + 1):
-                seen[nk] = nd
-                heapq.heappush(heap, (nd, nk, n))
-    return None
-
-
 def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthReport:
     """Distance from element to the nearest strictly-farther element.
 
@@ -246,12 +231,34 @@ def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthRepor
         raise InsufficientRadius(
             "need radius >= %d to measure depth with cap %d" % (d0 + cap, cap))
     table = index.table
-    hit = _outward_search(index, element, cap,
-                          lambda k, e: table[k][1] > d0)
-    if hit is None:
-        return DepthReport(element, d0, cap + 1, None, exceeds_cap=True)
-    witness, d = hit
-    return DepthReport(element, d0, d, witness)
+    for d, k, witness in _uniform_cost(index.group, element, cap, table):
+        if table[k][1] > d0:
+            return DepthReport(element, d0, d, witness)
+    return DepthReport(element, d0, cap + 1, None, exceeds_cap=True)
+
+
+def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
+    """(largest certified depth, number certified) over the ball.
+
+    Each element's search is capped at min(bound, room left in the ball).
+    A farther element within the cap certifies its depth; a miss at the
+    full bound certifies depth > bound and raises ClaimViolation, while a
+    miss at a smaller cap certifies nothing and the element is skipped.
+    """
+    group = index.group
+    max_depth = checked = 0
+    for e, d0 in index.table.values():
+        cap = min(bound, index.radius - d0)
+        if cap < 1:
+            continue
+        report = depth(group, e, index, cap)
+        if report.exceeds_cap:
+            if cap == bound:
+                raise ClaimViolation("element %s has depth > %d" % (group.render(e), bound))
+            continue
+        checked += 1
+        max_depth = max(max_depth, report.depth)
+    return max_depth, checked
 
 
 def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
@@ -308,27 +315,7 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
 
 def _distance_layers(index: BallIndex, a, r: int) -> dict:
     """key -> word-metric distance from a, for everything within r of a."""
-    group = index.group
-    ak = group.key(a)
-    heap = [(0, ak, a)]
-    dists = {ak: 0}
-    done: dict = {}
-    while heap:
-        d, k, e = heapq.heappop(heap)
-        if k in done:
-            continue
-        done[k] = d
-        if d >= r:
-            continue
-        for n, w in index.neighbors_in_ball(e):
-            nd = d + w
-            if nd > r:
-                continue
-            nk = group.key(n)
-            if nd < dists.get(nk, nd + 1):
-                dists[nk] = nd
-                heapq.heappush(heap, (nd, nk, n))
-    return done
+    return {k: d for d, k, _e in _uniform_cost(index.group, a, r, index.table)}
 
 
 def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
@@ -401,12 +388,11 @@ def function_depth(index: BallIndex, f: dict, element, cap: int):
     word-metric distance to the nearest element with a strictly larger f
     value.  Returns (depth, exceeded) where exceeded means nothing larger
     was found within cap (depth is then the lower bound cap+1)."""
-    k0 = index.group.key(element)
-    f0 = f[k0]
-    hit = _outward_search(index, element, cap, lambda k, e: f[k] > f0)
-    if hit is None:
-        return cap + 1, True
-    return hit[1], False
+    f0 = f[index.group.key(element)]
+    for d, k, _e in _uniform_cost(index.group, element, cap, index.table):
+        if f[k] > f0:
+            return d, False
+    return cap + 1, True
 
 
 def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
@@ -425,15 +411,13 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
             raise BoundViolated(
                 "|d1 - d2| >= %d at %s" % (C, index.group.render(index.table[k][0])))
     threshold = max(C + 1, min_source_depth or 0)
-    group = index.group
     climbs = _outward_step(index, d1.__getitem__, threshold)
     rows = []
     scanned = 0
-    for e, d0 in index.items_sorted():
+    for k, (e, d0) in index.table.items():
         cap = index.radius - d0
         if cap < 1:
             continue
-        k = group.key(e)
         if climbs(e, d1[k]):
             continue
         scanned += 1
@@ -449,5 +433,6 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
             target, s = e, r
         else:
             target, s = local_max_from_slack(index, d2, e, r, slack)
-        rows.append(TransferRow(e, D, exceeded, r, max(slack, 0), target, s + 1))
-    return TransferReport(C, rows, scanned)
+        rows.append((d0, k, TransferRow(e, D, exceeded, r, max(slack, 0), target, s + 1)))
+    rows.sort(key=lambda row: row[:2])
+    return TransferReport(C, [row for _d0, _k, row in rows], scanned)

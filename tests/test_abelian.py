@@ -18,6 +18,10 @@ from deadends.abelian import (
     UnsupportedRank,
     WeightedGenSet,
     WeightedZnGroup,
+    _parallelepiped_points,
+    _rank,
+    _row_reduce,
+    _solve_functional,
     build_polytope,
     coset_representatives,
     depth_bound,
@@ -118,6 +122,34 @@ class TestPolytope:
         assert f.vertices == ((1,),)
         with pytest.raises(NotAFacet):
             poly.facet_of((Fraction(2),))
+
+
+class TestRowReduce:
+    def test_rref_skips_zero_columns(self):
+        m, pivots = _row_reduce([(0, 2, 4), (0, 1, 3)])
+        assert pivots == [1, 2]
+        assert m == [[0, 1, 0], [0, 0, 1]]
+
+    def test_rank_of_deficient_sets(self):
+        assert _rank([(1, 2, 3), (2, 4, 6), (-1, -2, -3)]) == 1
+        assert _rank([(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 3)]) == 2
+        assert _rank([(0, 0)]) == 0
+        assert _rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
+
+    def test_solve_functional(self):
+        assert _solve_functional([(2, 0), (1, 4)]) == (Fraction(1, 2), Fraction(1, 8))
+
+    def test_solve_functional_singular(self):
+        assert _solve_functional([(1, 2), (2, 4)]) is None
+        assert _solve_functional([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) is None
+
+    def test_parallelepiped_points(self):
+        assert sorted(_parallelepiped_points([(2, 0), (1, 1)], 2)) == \
+            [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)]
+
+    def test_parallelepiped_degenerate_basis(self):
+        assert _parallelepiped_points([(1, 2), (2, 4)], 2) == []
+        assert _parallelepiped_points([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3) == []
 
 
 def _facet_with_vertices(poly, vertices):

@@ -8,11 +8,14 @@ from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup, heis_inverse
 from deadends.search import (
     BoundViolated,
+    ClaimViolation,
     HypothesisViolated,
     InsufficientRadius,
     NotInBall,
     ResourceCap,
+    TransferRow,
     ball,
+    certified_max_depth,
     deadend_scan,
     depth,
     depth_transfer_check,
@@ -20,6 +23,10 @@ from deadends.search import (
     function_depth,
     local_max_from_slack,
 )
+
+
+# weights {1, 3}; every depth-2 dead end has a farther weight-3 neighbour
+WEIGHTED_13 = WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3), ((3, 1), 3)))
 
 
 class TestBall:
@@ -37,6 +44,29 @@ class TestBall:
     def test_budget_exceeded(self):
         with pytest.raises(ResourceCap):
             ball(HeisenbergGroup(), 10, budget=100)
+
+    def test_weighted_matches_relaxation(self):
+        # (0,1) is first reached at 5 and later improved to 3 via (-1,0),
+        # (1,1), so the search meets stale heap entries.
+        gens = (((1, 0), 1), ((0, 1), 5), ((1, 1), 2))
+        r = 8
+        # Bellman-Ford over the box every path of weight <= r stays in
+        box = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+        dist = {p: (0 if p == (0, 0) else r + 1) for p in box}
+        changed = True
+        while changed:
+            changed = False
+            for (x, y) in box:
+                for (vx, vy), w in gens:
+                    for s in (1, -1):
+                        q = (x + s * vx, y + s * vy)
+                        if q in dist and dist[(x, y)] + w < dist[q]:
+                            dist[q] = dist[(x, y)] + w
+                            changed = True
+        idx = ball(WeightedZnGroup(WeightedGenSet(2, gens)), r)
+        assert {k: d for k, (_e, d) in idx.table.items()} == \
+            {p: d for p, d in dist.items() if d <= r}
+        assert sum(idx.spheres.values()) == len(idx)
 
     def test_sphere_counts_sum_to_size(self, heis_ball22):
         assert sum(c for _d, c in heis_ball22.sphere_rows()) == len(heis_ball22)
@@ -156,8 +186,10 @@ class TestDeadendScan:
     def test_weighted_matches_brute_force(self):
         # Every hit here has a strictly farther neighbour, across a weight-3
         # letter only: that bounds its depth by 3, so it must not exclude.
-        g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3), ((3, 1), 3))))
+        g = WeightedZnGroup(WEIGHTED_13)
         idx = ball(g, 10)
+        # the uniform-cost branch of ball settles in (distance, key) order
+        assert list(idx.table) == sorted(idx.table, key=lambda k: (idx.table[k][1], k))
         expected = self._brute_force(g, idx, 2)
         assert len(expected) == 12
         for r in expected:
@@ -171,6 +203,55 @@ class TestDeadendScan:
         expected = self._brute_force(g, idx, 1)
         assert expected
         assert deadend_scan(g, idx, 1) == expected
+
+
+class TestCertifiedMaxDepth:
+    @staticmethod
+    def _brute_force(g, idx, bound):
+        """depth() with cap min(bound, room) on every element, sorted order."""
+        max_depth = checked = 0
+        for e, d in idx.items_sorted():
+            cap = min(bound, idx.radius - d)
+            if cap < 1:
+                continue
+            report = depth(g, e, idx, cap)
+            if report.exceeds_cap:
+                if cap == bound:
+                    return ClaimViolation
+                continue
+            checked += 1
+            max_depth = max(max_depth, report.depth)
+        return max_depth, checked
+
+    def test_heis_matches_brute_force(self):
+        g = HeisenbergGroup()
+        idx = ball(g, 8)
+        assert certified_max_depth(idx, 3) == self._brute_force(g, idx, 3) == (3, 1067)
+
+    @pytest.mark.parametrize("bound, outcome",
+                             [(2, ClaimViolation), (3, (3, 85)), (6, (3, 85))])
+    def test_weighted_matches_brute_force(self, bound, outcome):
+        g = WeightedZnGroup(WEIGHTED_13)
+        idx = ball(g, 10)
+        assert self._brute_force(g, idx, bound) == outcome
+        if outcome is ClaimViolation:
+            with pytest.raises(ClaimViolation):
+                certified_max_depth(idx, bound)
+        else:
+            assert certified_max_depth(idx, bound) == outcome
+
+    def test_free_group_matches_brute_force(self):
+        g = FreeGroup(2)
+        idx = ball(g, 6)
+        assert certified_max_depth(idx, 2) == self._brute_force(g, idx, 2)
+        assert certified_max_depth(idx, 2) == (1, 1 + 4 + 12 + 36 + 108 + 324)
+
+    def test_miss_with_room_equal_to_bound_convicts(self):
+        # (0,0,+-1) sit at distance 4 with depth 3; at radius 5 their room
+        # is 1, so a miss at cap 1 = bound already certifies depth > 1.
+        idx = ball(HeisenbergGroup(), 5)
+        with pytest.raises(ClaimViolation, match=r"\(0,0,-?1\) has depth > 1"):
+            certified_max_depth(idx, 1)
 
 
 def _dominates(index, f, center, radius):
@@ -252,6 +333,30 @@ class TestDepthTransfer:
         d = {g.key(e): dd for e, dd in idx.items_sorted()}
         report = depth_transfer_check(idx, d, d, 1)
         assert report.rows == []
+
+    def test_rows_match_sorted_reference(self):
+        # d1 = d2 = distance, C = 1: each source of distance-depth D >= 2
+        # is its own target with fuzz radius D - 1 and no slack.
+        g = HeisenbergGroup()
+        idx = ball(g, 12)
+        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        expected = []
+        for e, dd in idx.items_sorted():
+            if dd < idx.radius:
+                D, exceeded = function_depth(idx, d, e, idx.radius - dd)
+                if D >= 2:
+                    expected.append(TransferRow(e, D, exceeded, D - 1, 0, e, D))
+        assert expected
+        assert depth_transfer_check(idx, d, d, 1).rows == expected
+
+    def test_function_depth_stays_in_the_index(self):
+        # f is defined on the ball only; a cap past the room must not
+        # step outside it.
+        g = standard_zn(1)
+        idx = ball(g, 4)
+        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        assert function_depth(idx, d, (4,), 3) == (4, True)
+        assert function_depth(idx, d, (2,), 3) == (1, False)
 
     def test_weighted_sources_are_kept(self):
         # One generator of weight 2: every element has a farther neighbour,
