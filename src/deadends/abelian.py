@@ -174,7 +174,7 @@ def weighted_distances(ws: WeightedGenSet, targets: Iterable[Vec],
     if not remaining:
         return out
     group = WeightedZnGroup(ws)
-    for settled, (d, u, _e) in enumerate(_uniform_cost(group, group.identity, math.inf), 1):
+    for settled, (d, u) in enumerate(_uniform_cost(group, group.identity, math.inf), 1):
         if settled > budget:
             raise ResourceCap("weighted distance search exceeded budget %d" % budget)
         if u in remaining:
@@ -608,15 +608,12 @@ def sandwich_check(spec: EuclideanSpec, radius: int) -> SandwichReport:
     index = ball(group, radius)
     ws = euclidean_reduce(spec)
     ident_mat = _identity_mat(spec.n)
-    targets = [e[0] for e, _d in index.items_sorted() if e[1] == ident_mat]
-    norms = weighted_distances(ws, targets)
+    lattice = [(e, d) for e, d in index.items_sorted() if e[1] == ident_mat]
+    norms = weighted_distances(ws, [e[0] for e, _d in lattice])
     reps = coset_representatives(spec)
     gap_bound = 2 * sum(len(w) for w in reps.values())
     worst = 0
-    checked = 0
-    for e, d in index.items_sorted():
-        if e[1] != ident_mat:
-            continue
+    for e, d in lattice:
         norm = norms[e[0]]
         if norm > d:
             raise DeadendError("reduced norm %r exceeds word length %d at %r"
@@ -625,5 +622,4 @@ def sandwich_check(spec: EuclideanSpec, radius: int) -> SandwichReport:
         if gap > gap_bound:
             raise DeadendError("gap %d exceeds bound %d at %r" % (gap, gap_bound, e))
         worst = max(worst, gap)
-        checked += 1
-    return SandwichReport(worst, gap_bound, checked)
+    return SandwichReport(worst, gap_bound, len(lattice))

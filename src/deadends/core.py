@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 # A letter is (generator index, sign), sign in {+1, -1}.
@@ -122,9 +123,8 @@ class Word:
 class MarkedGroup(ABC):
     """A group marked with a generating alphabet.
 
-    Elements are hashable immutable values.  `key` returns the canonical
-    dictionary key for an element (the normal-form tuple itself unless a
-    subclass overrides it).
+    Elements are hashable immutable normal forms: equal elements are equal
+    values, so an element is its own dictionary key.
     """
 
     alphabet: GenAlphabet
@@ -138,15 +138,17 @@ class MarkedGroup(ABC):
     def apply_letter(self, element: Any, letter: Letter) -> Any:
         """Right-multiply element by the generator (or inverse) named by letter."""
 
-    def key(self, element: Any) -> Any:
-        return element
-
     def letter_weight(self, letter: Letter) -> int:
         return 1
 
+    @cached_property
+    def weighted_letters(self) -> tuple[tuple[Letter, int], ...]:
+        """(letter, weight) for every signed letter, in canonical order."""
+        return tuple((lt, self.letter_weight(lt)) for lt in self.alphabet.signed_letters())
+
     @property
     def is_weighted(self) -> bool:
-        return any(self.letter_weight(lt) != 1 for lt in self.alphabet.signed_letters())
+        return any(w != 1 for _lt, w in self.weighted_letters)
 
     def render(self, element: Any) -> str:
         return repr(element)

@@ -216,40 +216,38 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
     words_checked = 0
     covered: set = set()
     if dfa.start in alive:
-        start_key = group.key(group.identity)
-        seen: dict[tuple[int, Any], int] = {(dfa.start, start_key): 0}
-        parents: dict[tuple[int, Any], tuple[Optional[tuple], Optional[Letter], Any]] = {
-            (dfa.start, start_key): (None, None, group.identity)
+        start = (dfa.start, group.identity)
+        seen: dict[tuple[int, Any], int] = {start: 0}
+        parents: dict[tuple[int, Any], tuple[Optional[tuple], Optional[Letter]]] = {
+            start: (None, None)
         }
 
         def word_to(node: tuple) -> Word:
             letters: list[Letter] = []
             cur: Optional[tuple] = node
             while cur is not None:
-                parent, lt, _e = parents[cur]
+                parent, lt = parents[cur]
                 if lt is not None:
                     letters.append(lt)
                 cur = parent
             return Word(tuple(reversed(letters)))
 
         if dfa.start in dfa.accept:
-            covered.add(start_key)
-        frontier: list[tuple] = [(dfa.start, start_key)]
+            covered.add(group.identity)
+        frontier: list[tuple] = [start]
         letters = dfa.alphabet.signed_letters()
         d = 0
         while frontier and d < index.radius:
             d += 1
             nxt: list[tuple] = []
             for node in frontier:
-                s, _ekey = node
-                e = parents[node][2]
+                s, e = node
                 for lt in letters:
                     s2 = dfa.step(s, lt)
                     if s2 is None or s2 not in alive:
                         continue
                     e2 = group.apply_letter(e, lt)
-                    ekey2 = group.key(e2)
-                    key2 = (s2, ekey2)
+                    key2 = (s2, e2)
                     words_checked += 1
                     dist = index.distance(e2)  # words can't outrun the ball
                     prev = seen.get(key2)
@@ -259,20 +257,20 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
                             counter_word = word_to(node) + Word((lt,)) + suffixes[s2]
                         continue
                     seen[key2] = d
-                    parents[key2] = (node, lt, e2)
+                    parents[key2] = (node, lt)
                     if dist != d:
                         if sound:
                             sound = False
                             counter_word = word_to(key2) + suffixes[s2]
                         continue
                     if s2 in dfa.accept:
-                        covered.add(ekey2)
+                        covered.add(e2)
                     nxt.append(key2)
             frontier = nxt
-    missing = [(d, k) for k, (_e, d) in index.table.items() if k not in covered]
+    missing = [(d, e) for e, d in index.table.items() if e not in covered]
     complete = not missing
     if missing:
-        counter_elem = group.render(index.table[min(missing)[1]][0])
+        counter_elem = group.render(min(missing)[1])
     return VerifyReport(
         sound=sound,
         complete=complete,

@@ -12,7 +12,6 @@ is hit, the report carries a flagged lower bound instead.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
@@ -66,37 +65,35 @@ class BallIndex:
 
     group: MarkedGroup
     radius: int
-    table: dict  # key -> (element, distance)
+    table: dict  # element -> distance, in BFS or (distance, element) order
     spheres: dict  # distance -> element count
 
     def __len__(self) -> int:
         return len(self.table)
 
     def __contains__(self, element) -> bool:
-        return self.group.key(element) in self.table
+        return element in self.table
 
     def distance(self, element) -> int:
-        entry = self.table.get(self.group.key(element))
-        if entry is None:
+        d = self.table.get(element)
+        if d is None:
             raise NotInBall("element %s not within radius %d" % (self.group.render(element), self.radius))
-        return entry[1]
+        return d
 
     def elements(self) -> Iterable:
-        for element, _dist in self.table.values():
-            yield element
+        return iter(self.table)
 
     def items_sorted(self) -> list:
-        """(element, distance) pairs ordered by (distance, key); deterministic."""
-        return sorted(((e, d) for (e, d) in self.table.values()),
-                      key=lambda pair: (pair[1], self.group.key(pair[0])))
+        """(element, distance) pairs ordered by (distance, element); deterministic."""
+        return sorted(self.table.items(), key=lambda pair: (pair[1], pair[0]))
 
     def neighbors_in_ball(self, element):
         """(neighbor, letter weight) for neighbors that stayed inside the index."""
         g = self.group
-        for lt in g.alphabet.signed_letters():
+        for lt, w in g.weighted_letters:
             n = g.apply_letter(element, lt)
-            if g.key(n) in self.table:
-                yield n, g.letter_weight(lt)
+            if n in self.table:
+                yield n, w
 
     def sphere_rows(self) -> list[tuple[int, int]]:
         return sorted(self.spheres.items())
@@ -119,76 +116,74 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
     """Index the closed ball of the given radius around the identity.
 
     Deterministic: unweighted alphabets use plain BFS in letter order;
-    weighted ones use uniform-cost search with (distance, key) tie-breaks,
-    so the table insertion order never depends on hash seeds or threads.
+    weighted ones use uniform-cost search with (distance, element)
+    tie-breaks, so the table insertion order never depends on hash seeds
+    or threads.
     """
     if radius < 0:
         raise DeadendError("radius must be nonnegative")
     if budget is None:
         budget = default_budget()
     ident = group.identity
-    table: dict = {group.key(ident): (ident, 0)}
-    spheres: dict = {0: 1}
-    letters = group.alphabet.signed_letters()
 
     if not group.is_weighted:
-        frontier = deque([ident])
+        table = {ident: 0}
+        spheres = {0: 1}
+        step = group.apply_letter
+        letters = [lt for lt, _w in group.weighted_letters]
+        frontier = [ident]
         dist = 0
         while frontier and dist < radius:
             dist += 1
-            next_frontier: deque = deque()
+            next_frontier = []
             for e in frontier:
                 for lt in letters:
-                    n = group.apply_letter(e, lt)
-                    k = group.key(n)
-                    if k not in table:
+                    n = step(e, lt)
+                    if n not in table:
                         if len(table) >= budget:
                             raise ResourceCap(
                                 "ball(radius=%d) exceeds element budget %d" % (radius, budget))
-                        table[k] = (n, dist)
+                        table[n] = dist
                         next_frontier.append(n)
             if next_frontier:
                 spheres[dist] = len(next_frontier)
             frontier = next_frontier
         return BallIndex(group, radius, table, spheres)
 
-    # Weighted: settled in (distance, key) order.
     table = {}
     spheres = {}
-    for d, k, e in _uniform_cost(group, ident, radius):
+    for d, e in _uniform_cost(group, ident, radius):
         if len(table) >= budget:
             raise ResourceCap("ball(radius=%d) exceeds element budget %d" % (radius, budget))
-        table[k] = (e, d)
+        table[e] = d
         spheres[d] = spheres.get(d, 0) + 1
     return BallIndex(group, radius, table, spheres)
 
 
 def _uniform_cost(group: MarkedGroup, start, cap, inside: Optional[dict] = None):
-    """Yield (distance, key, element) for everything within cap of start.
+    """Yield (distance, element) for everything within cap of start.
 
-    Uniform-cost search settling each node once, in (distance, key) order,
-    so the output never depends on hash seeds.  Only steps whose target key
-    is in inside are taken; with None, every step is.
+    Uniform-cost search settling each node once, in (distance, element)
+    order, so the output never depends on hash seeds.  Only steps whose
+    target is in inside are taken; with None, every step is.
     """
-    step, key = group.apply_letter, group.key
-    letters = [(lt, group.letter_weight(lt)) for lt in group.alphabet.signed_letters()]
-    k0 = key(start)
-    best = {k0: 0}
-    heap = [(0, k0, start)]
+    step = group.apply_letter
+    letters = group.weighted_letters
+    best = {start: 0}
+    heap = [(0, start)]
     while heap:
-        d, k, e = heappop(heap)
-        if d > best[k]:
+        d, e = heappop(heap)
+        if d > best[e]:
             continue
-        yield d, k, e
+        yield d, e
         for lt, w in letters:
             nd = d + w
             if nd > cap:
                 continue
             n = step(e, lt)
-            nk = key(n)
-            if (inside is None or nk in inside) and nd < best.get(nk, nd + 1):
-                best[nk] = nd
-                heappush(heap, (nd, nk, n))
+            if (inside is None or n in inside) and nd < best.get(n, nd + 1):
+                best[n] = nd
+                heappush(heap, (nd, n))
 
 
 def distance(group: MarkedGroup, element, index: BallIndex) -> int:
@@ -231,8 +226,8 @@ def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthRepor
         raise InsufficientRadius(
             "need radius >= %d to measure depth with cap %d" % (d0 + cap, cap))
     table = index.table
-    for d, k, witness in _uniform_cost(index.group, element, cap, table):
-        if table[k][1] > d0:
+    for d, witness in _uniform_cost(index.group, element, cap, table):
+        if table[witness] > d0:
             return DepthReport(element, d0, d, witness)
     return DepthReport(element, d0, cap + 1, None, exceeds_cap=True)
 
@@ -247,7 +242,7 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
     """
     group = index.group
     max_depth = checked = 0
-    for e, d0 in index.table.values():
+    for e, d0 in index.table.items():
         cap = min(bound, index.radius - d0)
         if cap < 1:
             continue
@@ -263,7 +258,7 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
 
 def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
     """Test (element, v) -> bool: does a letter of weight below b take
-    element to an indexed element whose f value (f maps keys) exceeds v?
+    element to an indexed element whose f value exceeds v?
 
     When it does, with v = f(element), an outward search over the index
     meets that neighbour at distance w < b, or stops at its cap below w,
@@ -271,13 +266,13 @@ def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
     """
     group = index.group
     table = index.table
-    step, key = group.apply_letter, group.key
-    light = [lt for lt in group.alphabet.signed_letters() if group.letter_weight(lt) < b]
+    step = group.apply_letter
+    light = [lt for lt, w in group.weighted_letters if w < b]
 
     def climbs(element, v) -> bool:
         for lt in light:
-            k = key(step(element, lt))
-            if k in table and f(k) > v:
+            n = step(element, lt)
+            if n in table and f(n) > v:
                 return True
         return False
 
@@ -286,7 +281,7 @@ def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
 
 def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
                  cap: Optional[int] = None) -> list[DepthReport]:
-    """All certifiable elements of depth >= min_depth, ordered by (distance, key).
+    """All certifiable elements of depth >= min_depth, ordered by (distance, element).
 
     Only elements with distance + cap <= radius are scanned; reports flagged
     exceeds_cap carry depth lower bounds >= cap+1 > min_depth.
@@ -300,28 +295,27 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
     if cap < min_depth:
         raise DeadendError("cap %d below min_depth %d" % (cap, min_depth))
     table = index.table
-    climbs = _outward_step(index, lambda k: table[k][1], min_depth)
+    climbs = _outward_step(index, table.__getitem__, min_depth)
     out = []
-    for e, d0 in table.values():
+    for e, d0 in table.items():
         if d0 + cap > index.radius or climbs(e, d0):
             continue
         report = depth(group, e, index, cap)
         if report.depth >= min_depth:
             out.append(report)
-    key = index.group.key
-    out.sort(key=lambda r: (r.distance_from_identity, key(r.element)))
+    out.sort(key=lambda r: (r.distance_from_identity, r.element))
     return out
 
 
 def _distance_layers(index: BallIndex, a, r: int) -> dict:
-    """key -> word-metric distance from a, for everything within r of a."""
-    return {k: d for d, k, _e in _uniform_cost(index.group, a, r, index.table)}
+    """element -> word-metric distance from a, for everything within r of a."""
+    return {e: d for d, e in _uniform_cost(index.group, a, r, index.table)}
 
 
 def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
     """From bounded slack to a local maximum.
 
-    Given a table f (key -> int) with f <= f(a) + n throughout the closed
+    Given a table f (element -> int) with f <= f(a) + n throughout the closed
     r-ball around a, return (a', s) such that f attains a maximum over the
     closed s-ball around a' at a', with s as large as the monotone-envelope
     construction certifies (at most r // n).
@@ -334,16 +328,14 @@ def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
     into n windows the flat window can still come up one short, in which
     case the certified smaller s is returned rather than an unsound r // n.
     """
-    group = index.group
-    a_key = group.key(a)
-    d0 = index.table[a_key][1]
+    d0 = index.table[a]
     if index.radius < d0 + r:
         raise InsufficientRadius("need radius >= %d for slack window r=%d" % (d0 + r, r))
     width = r // max(n, 1)
     probe = min(r + width, index.radius - d0)
     layers = _distance_layers(index, a, probe)
-    fa = f[a_key]
-    worst = max(f[k] - fa for k, d in layers.items() if d <= r)
+    fa = f[a]
+    worst = max(f[e] - fa for e, d in layers.items() if d <= r)
     if worst > n:
         raise HypothesisViolated(
             "f exceeds f(a)+%d within radius %d (max slack %d)" % (n, r, worst))
@@ -351,17 +343,17 @@ def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
         return a, r  # a already dominates the whole r-ball
     # envelope over integer radii 0..probe
     g = [fa] * (probe + 1)
-    for k, d in layers.items():
-        if f[k] > g[d]:
-            g[d] = f[k]
+    for e, d in layers.items():
+        if f[e] > g[d]:
+            g[d] = f[e]
     for x in range(1, probe + 1):
         if g[x] < g[x - 1]:
             g[x] = g[x - 1]
     for s in range(width, -1, -1):
         for x in range(0, min(r, probe - s) + 1):
             if g[x] == g[x + s]:
-                best = min(k for k, d in layers.items() if d <= x and f[k] == g[x])
-                return index.table[best][0], s
+                best = min(e for e, d in layers.items() if d <= x and f[e] == g[x])
+                return best, s
     raise DeadendError("unreachable: zero-width window always exists")
 
 
@@ -388,9 +380,9 @@ def function_depth(index: BallIndex, f: dict, element, cap: int):
     word-metric distance to the nearest element with a strictly larger f
     value.  Returns (depth, exceeded) where exceeded means nothing larger
     was found within cap (depth is then the lower bound cap+1)."""
-    f0 = f[index.group.key(element)]
-    for d, k, _e in _uniform_cost(index.group, element, cap, index.table):
-        if f[k] > f0:
+    f0 = f[element]
+    for d, e in _uniform_cost(index.group, element, cap, index.table):
+        if f[e] > f0:
             return d, False
     return cap + 1, True
 
@@ -406,19 +398,18 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
     """
     if C < 1:
         raise DeadendError("C must be >= 1")
-    for k in index.table:
-        if abs(d1[k] - d2[k]) >= C:
-            raise BoundViolated(
-                "|d1 - d2| >= %d at %s" % (C, index.group.render(index.table[k][0])))
+    for e in index.table:
+        if abs(d1[e] - d2[e]) >= C:
+            raise BoundViolated("|d1 - d2| >= %d at %s" % (C, index.group.render(e)))
     threshold = max(C + 1, min_source_depth or 0)
     climbs = _outward_step(index, d1.__getitem__, threshold)
     rows = []
     scanned = 0
-    for k, (e, d0) in index.table.items():
+    for e, d0 in index.table.items():
         cap = index.radius - d0
         if cap < 1:
             continue
-        if climbs(e, d1[k]):
+        if climbs(e, d1[e]):
             continue
         scanned += 1
         D, exceeded = function_depth(index, d1, e, cap)
@@ -428,11 +419,11 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
         if r < 1:
             continue
         layers = _distance_layers(index, e, r)
-        slack = max(d2[kk] - d2[k] for kk in layers)
+        slack = max(d2[x] - d2[e] for x in layers)
         if slack <= 0:
             target, s = e, r
         else:
             target, s = local_max_from_slack(index, d2, e, r, slack)
-        rows.append((d0, k, TransferRow(e, D, exceeded, r, max(slack, 0), target, s + 1)))
+        rows.append((d0, e, TransferRow(e, D, exceeded, r, max(slack, 0), target, s + 1)))
     rows.sort(key=lambda row: row[:2])
-    return TransferReport(C, [row for _d0, _k, row in rows], scanned)
+    return TransferReport(C, [row for _d0, _e, row in rows], scanned)

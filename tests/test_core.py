@@ -13,7 +13,6 @@ from deadends.core import (
 )
 from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup
-from deadends.search import ball
 from deadends.sol import SolGroup, WreathZ2Z
 
 AB = GenAlphabet(("a", "b"))
@@ -110,10 +109,3 @@ class TestEvaluate:
         h = HeisenbergGroup()
         with pytest.raises(UnknownLetter):
             h.evaluate(Word(((7, 1),)))
-
-
-def test_keys_injective_on_radius_8_ball():
-    for g in (HeisenbergGroup(), standard_zn(2)):
-        idx = ball(g, 8)
-        keys = {g.key(e) for e, _d in idx.items_sorted()}
-        assert len(keys) == len(idx)

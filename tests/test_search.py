@@ -23,13 +23,58 @@ from deadends.search import (
     function_depth,
     local_max_from_slack,
 )
+from deadends.sol import WreathZ2Z
 
 
 # weights {1, 3}; every depth-2 dead end has a farther weight-3 neighbour
 WEIGHTED_13 = WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3), ((3, 1), 3)))
 
 
+def _reference_ball(group, radius):
+    """element -> distance by a plain layer-by-layer BFS in letter order."""
+    table = {group.identity: 0}
+    layer = [group.identity]
+    for dist in range(1, radius + 1):
+        grown = []
+        for e in layer:
+            for i in range(group.alphabet.size):
+                for sign in (1, -1):
+                    n = group.apply_letter(e, (i, sign))
+                    if n not in table:
+                        table[n] = dist
+                        grown.append(n)
+        layer = grown
+    return table
+
+
 class TestBall:
+    @pytest.mark.parametrize("group, radius", [(HeisenbergGroup(), 12), (FreeGroup(2), 6),
+                                               (WreathZ2Z(), 6)], ids=["heis", "f2", "wreath"])
+    def test_table_matches_reference_bfs(self, group, radius):
+        idx = ball(group, radius)
+        ref = _reference_ball(group, radius)
+        assert idx.table == ref
+        assert list(idx.table) == list(ref)
+
+    @pytest.mark.parametrize("group, radius", [(HeisenbergGroup(), 6),
+                                               (WeightedZnGroup(WEIGHTED_13), 8)],
+                             ids=["bfs", "uniform_cost"])
+    def test_budget_boundary(self, group, radius):
+        size = len(ball(group, radius))
+        assert len(ball(group, radius, budget=size)) == size
+        with pytest.raises(ResourceCap):
+            ball(group, radius, budget=size - 1)
+
+    def test_letter_weights_read_once_per_group(self, monkeypatch):
+        g = WeightedZnGroup(WEIGHTED_13)
+        calls = []
+        weight = g.letter_weight
+        monkeypatch.setattr(g, "letter_weight", lambda lt: calls.append(lt) or weight(lt))
+        idx = ball(g, 8)
+        deadend_scan(g, idx, 2)
+        certified_max_depth(idx, 3)
+        assert len(calls) == len(g.alphabet.signed_letters())
+
     def test_z2_radius_2_has_13_elements(self):
         assert len(ball(standard_zn(2), 2)) == 13
 
@@ -64,8 +109,7 @@ class TestBall:
                             dist[q] = dist[(x, y)] + w
                             changed = True
         idx = ball(WeightedZnGroup(WeightedGenSet(2, gens)), r)
-        assert {k: d for k, (_e, d) in idx.table.items()} == \
-            {p: d for p, d in dist.items() if d <= r}
+        assert idx.table == {p: d for p, d in dist.items() if d <= r}
         assert sum(idx.spheres.values()) == len(idx)
 
     def test_sphere_counts_sum_to_size(self, heis_ball22):
@@ -167,7 +211,7 @@ class TestDeadendScan:
 
     @staticmethod
     def _brute_force(g, idx, min_depth, cap=None):
-        """depth() on every element with room, filtered and in (distance, key) order."""
+        """depth() on every element with room, filtered and in (distance, element) order."""
         cap = min_depth if cap is None else cap
         reports = (depth(g, e, idx, cap) for e, d in idx.items_sorted()
                    if d + cap <= idx.radius)
@@ -188,8 +232,8 @@ class TestDeadendScan:
         # letter only: that bounds its depth by 3, so it must not exclude.
         g = WeightedZnGroup(WEIGHTED_13)
         idx = ball(g, 10)
-        # the uniform-cost branch of ball settles in (distance, key) order
-        assert list(idx.table) == sorted(idx.table, key=lambda k: (idx.table[k][1], k))
+        # the uniform-cost branch of ball settles in (distance, element) order
+        assert list(idx.table) == sorted(idx.table, key=lambda e: (idx.table[e], e))
         expected = self._brute_force(g, idx, 2)
         assert len(expected) == 12
         for r in expected:
@@ -256,18 +300,16 @@ class TestCertifiedMaxDepth:
 
 def _dominates(index, f, center, radius):
     """f attains its max over the radius-ball at the center, per the index."""
-    group = index.group
-    seen = {group.key(center): 0}
+    seen = {center}
     frontier = [center]
-    fc = f[group.key(center)]
+    fc = f[center]
     for _step in range(radius):
         nxt = []
         for e in frontier:
             for nb, w in index.neighbors_in_ball(e):
-                k = group.key(nb)
-                if k not in seen:
-                    seen[k] = True
-                    if f[k] > fc:
+                if nb not in seen:
+                    seen.add(nb)
+                    if f[nb] > fc:
                         return False
                     nxt.append(nb)
         frontier = nxt
@@ -278,12 +320,12 @@ class TestLocalMaxFromSlack:
     def test_constant_function(self):
         g = standard_zn(2)
         idx = ball(g, 8)
-        f = {g.key(e): 7 for e, _d in idx.items_sorted()}
+        f = {e: 7 for e, _d in idx.items_sorted()}
         a_out, s = local_max_from_slack(idx, f, (0, 0), 4, 2)
         assert a_out == (0, 0) and s >= 4 // 2
 
     def test_heis_dead_end_dominates(self, heis_group, heis_ball22):
-        f = {heis_group.key(e): d for e, d in heis_ball22.items_sorted()}
+        f = {e: d for e, d in heis_ball22.items_sorted()}
         a_out, s = local_max_from_slack(heis_ball22, f, (0, 0, 5), 4, 2)
         assert s >= 2
         assert _dominates(heis_ball22, f, a_out, s)
@@ -292,8 +334,8 @@ class TestLocalMaxFromSlack:
         g = standard_zn(1)
         idx = ball(g, 9)
         r = 3
-        f = {g.key(e): 0 for e, _d in idx.items_sorted()}
-        f[g.key((r,))] = 1
+        f = {e: 0 for e, _d in idx.items_sorted()}
+        f[(r,)] = 1
         a_out, s = local_max_from_slack(idx, f, (0,), r, 1)
         assert a_out == (r,) and s == r
         assert _dominates(idx, f, a_out, s)
@@ -301,14 +343,14 @@ class TestLocalMaxFromSlack:
     def test_hypothesis_violated(self):
         g = standard_zn(1)
         idx = ball(g, 6)
-        f = {g.key(e): abs(e[0]) * 5 for e, _d in idx.items_sorted()}
+        f = {e: abs(e[0]) * 5 for e, _d in idx.items_sorted()}
         with pytest.raises(HypothesisViolated):
             local_max_from_slack(idx, f, (0,), 3, 1)
 
     def test_insufficient_radius(self):
         g = standard_zn(1)
         idx = ball(g, 4)
-        f = {g.key(e): 0 for e, _d in idx.items_sorted()}
+        f = {e: 0 for e, _d in idx.items_sorted()}
         with pytest.raises(InsufficientRadius):
             local_max_from_slack(idx, f, (3,), 3, 1)
 
@@ -317,20 +359,20 @@ class TestDepthTransfer:
     def test_identical_tables_map_dead_ends_to_themselves(self):
         g = HeisenbergGroup()
         idx = ball(g, 12)
-        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        d = {e: dd for e, dd in idx.items_sorted()}
         report = depth_transfer_check(idx, d, d, 1)
         assert report.rows
         for row in report.rows:
             assert row.target == row.source
             assert row.target_depth_lb >= row.source_depth - 1
             dep, exceeded = function_depth(idx, d, row.target,
-                                           idx.radius - d[g.key(row.target)])
+                                           idx.radius - d[row.target])
             assert exceeded or dep >= row.target_depth_lb
 
     def test_empty_dead_end_set(self):
         g = standard_zn(2)
         idx = ball(g, 6)
-        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        d = {e: dd for e, dd in idx.items_sorted()}
         report = depth_transfer_check(idx, d, d, 1)
         assert report.rows == []
 
@@ -339,7 +381,7 @@ class TestDepthTransfer:
         # is its own target with fuzz radius D - 1 and no slack.
         g = HeisenbergGroup()
         idx = ball(g, 12)
-        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        d = {e: dd for e, dd in idx.items_sorted()}
         expected = []
         for e, dd in idx.items_sorted():
             if dd < idx.radius:
@@ -354,7 +396,7 @@ class TestDepthTransfer:
         # step outside it.
         g = standard_zn(1)
         idx = ball(g, 4)
-        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        d = {e: dd for e, dd in idx.items_sorted()}
         assert function_depth(idx, d, (4,), 3) == (4, True)
         assert function_depth(idx, d, (2,), 3) == (1, False)
 
@@ -363,20 +405,20 @@ class TestDepthTransfer:
         # but only across a letter too heavy to bound the depth below 2.
         g = WeightedZnGroup(WeightedGenSet(1, (((1,), 2),)))
         idx = ball(g, 8)
-        d = {g.key(e): dd for e, dd in idx.items_sorted()}
+        d = {e: dd for e, dd in idx.items_sorted()}
         report = depth_transfer_check(idx, d, d, 1)
         sources = [e for e, dd in idx.items_sorted() if dd + 2 <= idx.radius]
         assert [row.source for row in report.rows] == sources
         assert report.sources_scanned == len(sources)
         for row in report.rows:
-            cap = idx.radius - d[g.key(row.source)]
+            cap = idx.radius - d[row.source]
             assert row.source_depth == function_depth(idx, d, row.source, cap)[0] == 2
 
     def test_pointwise_bound_enforced(self):
         g = standard_zn(2)
         idx = ball(g, 4)
-        d1 = {g.key(e): dd for e, dd in idx.items_sorted()}
+        d1 = {e: dd for e, dd in idx.items_sorted()}
         d2 = dict(d1)
-        d2[g.key((2, 2))] += 3
+        d2[(2, 2)] += 3
         with pytest.raises(BoundViolated):
             depth_transfer_check(idx, d1, d2, 2)
