@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -49,7 +50,7 @@ class NotEuclidean(DeadendError):
 
 
 def _vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def _vec_scale(c: int, v: Vec) -> Vec:
@@ -127,15 +128,15 @@ class WeightedZnGroup(MarkedGroup):
             names = tuple("g%d" % i for i in range(len(ws.gens)))
         self.alphabet = GenAlphabet(tuple(names))
         self._zero = (0,) * ws.n
+        self._vectors = {(i, s): v if s == 1 else _vec_neg(v)
+                         for i, (v, _w) in enumerate(ws.gens) for s in (1, -1)}
 
     @property
     def identity(self) -> Vec:
         return self._zero
 
     def apply_letter(self, element: Vec, letter: Letter) -> Vec:
-        idx, s = letter
-        v, _w = self.ws.gens[idx]
-        return _vec_add(element, v if s == 1 else _vec_neg(v))
+        return _vec_add(element, self._vectors[letter])
 
     def letter_weight(self, letter: Letter) -> int:
         return self.ws.gens[letter[0]][1]

@@ -217,16 +217,16 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
     covered: set = set()
     if dfa.start in alive:
         start = (dfa.start, group.identity)
-        seen: dict[tuple[int, Any], int] = {start: 0}
-        parents: dict[tuple[int, Any], tuple[Optional[tuple], Optional[Letter]]] = {
-            start: (None, None)
+        # product state -> (BFS depth, parent state, letter from the parent)
+        seen: dict[tuple[int, Any], tuple[int, Optional[tuple], Optional[Letter]]] = {
+            start: (0, None, None)
         }
 
         def word_to(node: tuple) -> Word:
             letters: list[Letter] = []
             cur: Optional[tuple] = node
             while cur is not None:
-                parent, lt = parents[cur]
+                _d, parent, lt = seen[cur]
                 if lt is not None:
                     letters.append(lt)
                 cur = parent
@@ -252,12 +252,11 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
                     dist = index.distance(e2)  # words can't outrun the ball
                     prev = seen.get(key2)
                     if prev is not None:
-                        if prev < d and sound:
+                        if prev[0] < d and sound:
                             sound = False
                             counter_word = word_to(node) + Word((lt,)) + suffixes[s2]
                         continue
-                    seen[key2] = d
-                    parents[key2] = (node, lt)
+                    seen[key2] = (d, node, lt)
                     if dist != d:
                         if sound:
                             sound = False

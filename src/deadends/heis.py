@@ -57,8 +57,7 @@ class HeisenbergGroup(MarkedGroup):
     def identity(self) -> HeisElement:
         return (0, 0, 0)
 
-    def apply_letter(self, element, letter):
-        return heis_step(element, letter)
+    apply_letter = staticmethod(heis_step)
 
     def render(self, element) -> str:
         return "(%d,%d,%d)" % element

@@ -45,6 +45,25 @@ def quadrant_dfa():
                 (0, (1, 1)): 2, (1, (1, 1)): 2, (2, (1, 1)): 2}, AB)
 
 
+def prefixed_loop_dfa():
+    """Accepts b b (a|a-)*: the revisit that convicts it sits below a prefix."""
+    return Dfa(3, 0, frozenset({2}),
+               {(0, (1, 1)): 1, (1, (1, 1)): 2, (2, (0, 1)): 2, (2, (0, -1)): 2}, AB)
+
+
+def staircase_dfa():
+    """Accepts exactly 'a b a b a-': fresh states up a staircase, then a step back."""
+    return Dfa(6, 0, frozenset({5}),
+               {(0, (0, 1)): 1, (1, (1, 1)): 2, (2, (0, 1)): 3, (3, (1, 1)): 4,
+                (4, (0, -1)): 5}, AB)
+
+
+def diamond_dfa():
+    """Accepts 'a b' and 'b a': two geodesics meet in one product state."""
+    return Dfa(4, 0, frozenset({3}),
+               {(0, (0, 1)): 1, (0, (1, 1)): 2, (1, (1, 1)): 3, (2, (0, 1)): 3}, AB)
+
+
 class TestDfa:
     def test_validation(self):
         with pytest.raises(DeadendError):
@@ -154,6 +173,23 @@ class TestVerify:
         report = verify_language(quadrant_dfa(), group, ball(group, 4))
         assert report.sound and not report.complete and not report.ok
         assert report.counterexample_element == "(-1,0)"
+
+    @pytest.mark.parametrize("make, sound, words, covered, word, element", [
+        (loop_dfa, False, 22, 13, "a a-", "(0,-1)"),
+        (detour_dfa, False, 2, 0, "a a- b", "(0,0)"),
+        (quadrant_dfa, True, 27, 28, None, "(-1,0)"),
+        (prefixed_loop_dfa, False, 16, 9, "b b a a-", "(0,0)"),
+        (staircase_dfa, False, 5, 0, "a b a b a-", "(0,0)"),
+        (diamond_dfa, True, 4, 1, None, "(0,0)"),
+    ], ids=["loop", "detour", "quadrant", "prefixed_loop", "staircase", "diamond"])
+    def test_counterexamples_pinned(self, make, sound, words, covered, word, element):
+        group = standard_zn(2)
+        report = verify_language(make(), group, ball(group, 6))
+        assert (report.sound, report.complete) == (sound, False)
+        assert (report.words_checked, report.elements_covered) == (words, covered)
+        got = report.counterexample_word
+        assert (None if got is None else got.render(AB)) == word
+        assert report.counterexample_element == element
 
 
 class TestExtend:

@@ -1,7 +1,11 @@
 """Ball oracle, depth, dead-end scan, and the metric-perturbation lemmas."""
 
+import itertools
+import re
+
 import pytest
 
+from deadends import search
 from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
 from deadends.core import DeadendError, Word
 from deadends.geolang import FreeGroup
@@ -30,6 +34,32 @@ from deadends.sol import WreathZ2Z
 WEIGHTED_13 = WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3), ((3, 1), 3)))
 
 
+# the rank-3 set the bounded-depth benchmark draws its weighted lattices from
+RANK3_GENS = (((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 2), ((1, 1, 1), 3))
+
+
+def _relaxation_ball(gens, r):
+    """point -> weighted distance <= r by Bellman-Ford over the box [-r, r]^n.
+
+    Every generator moves each coordinate by at most its weight, so every
+    path of weight <= r stays in the box."""
+    n = len(gens[0][0])
+    box = [tuple(p) for p in itertools.product(range(-r, r + 1), repeat=n)]
+    origin = (0,) * n
+    dist = {p: (0 if p == origin else r + 1) for p in box}
+    changed = True
+    while changed:
+        changed = False
+        for p in box:
+            for v, w in gens:
+                for s in (1, -1):
+                    q = tuple(a + s * b for a, b in zip(p, v))
+                    if q in dist and dist[p] + w < dist[q]:
+                        dist[q] = dist[p] + w
+                        changed = True
+    return {p: d for p, d in dist.items() if d <= r}
+
+
 def _reference_ball(group, radius):
     """element -> distance by a plain layer-by-layer BFS in letter order."""
     table = {group.identity: 0}
@@ -49,7 +79,8 @@ def _reference_ball(group, radius):
 
 class TestBall:
     @pytest.mark.parametrize("group, radius", [(HeisenbergGroup(), 12), (FreeGroup(2), 6),
-                                               (WreathZ2Z(), 6)], ids=["heis", "f2", "wreath"])
+                                               (WreathZ2Z(), 6), (standard_zn(3), 6)],
+                             ids=["heis", "f2", "wreath", "zn3"])
     def test_table_matches_reference_bfs(self, group, radius):
         idx = ball(group, radius)
         ref = _reference_ball(group, radius)
@@ -94,23 +125,19 @@ class TestBall:
         # (0,1) is first reached at 5 and later improved to 3 via (-1,0),
         # (1,1), so the search meets stale heap entries.
         gens = (((1, 0), 1), ((0, 1), 5), ((1, 1), 2))
-        r = 8
-        # Bellman-Ford over the box every path of weight <= r stays in
-        box = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
-        dist = {p: (0 if p == (0, 0) else r + 1) for p in box}
-        changed = True
-        while changed:
-            changed = False
-            for (x, y) in box:
-                for (vx, vy), w in gens:
-                    for s in (1, -1):
-                        q = (x + s * vx, y + s * vy)
-                        if q in dist and dist[(x, y)] + w < dist[q]:
-                            dist[q] = dist[(x, y)] + w
-                            changed = True
-        idx = ball(WeightedZnGroup(WeightedGenSet(2, gens)), r)
-        assert idx.table == {p: d for p, d in dist.items() if d <= r}
+        idx = ball(WeightedZnGroup(WeightedGenSet(2, gens)), 8)
+        assert idx.table == _relaxation_ball(gens, 8)
         assert sum(idx.spheres.values()) == len(idx)
+
+    def test_rank3_matches_relaxation(self):
+        g = WeightedZnGroup(WeightedGenSet(3, RANK3_GENS))
+        idx = ball(g, 6)
+        assert idx.table == _relaxation_ball(RANK3_GENS, 6)
+        assert list(idx.table) == sorted(idx.table, key=lambda e: (idx.table[e], e))
+
+    def test_heis_bad_letter_raises(self):
+        with pytest.raises(DeadendError):
+            HeisenbergGroup().apply_letter((0, 0, 0), (2, 1))
 
     def test_sphere_counts_sum_to_size(self, heis_ball22):
         assert sum(c for _d, c in heis_ball22.sphere_rows()) == len(heis_ball22)
@@ -296,6 +323,85 @@ class TestCertifiedMaxDepth:
         idx = ball(HeisenbergGroup(), 5)
         with pytest.raises(ClaimViolation, match=r"\(0,0,-?1\) has depth > 1"):
             certified_max_depth(idx, 1)
+
+    @classmethod
+    def _assert_matches_unfiltered(cls, g, idx, bound):
+        """Same result as _brute_force; a violation names the element the
+        search-every-element loop meets first in table order."""
+        expected = cls._brute_force(g, idx, bound)
+        if expected is not ClaimViolation:
+            assert certified_max_depth(idx, bound) == expected
+            return
+        violator = next(e for e, d in idx.table.items() if d + bound <= idx.radius
+                        and depth(g, e, idx, bound).exceeds_cap)
+        message = "element %s has depth > %d" % (g.render(violator), bound)
+        with pytest.raises(ClaimViolation, match=re.escape(message)):
+            certified_max_depth(idx, bound)
+
+    @staticmethod
+    def _record_searches(monkeypatch):
+        """Elements certified_max_depth hands to search.depth, in call order."""
+        calls = []
+        real = search.depth
+        monkeypatch.setattr(search, "depth",
+                            lambda g, e, idx, cap: calls.append(e) or real(g, e, idx, cap))
+        return calls
+
+    def test_free_group_runs_no_search(self, monkeypatch):
+        idx = ball(FreeGroup(2), 6)
+        calls = self._record_searches(monkeypatch)
+        assert certified_max_depth(idx, 2) == (1, 485)
+        assert calls == []
+
+    @pytest.mark.parametrize("perm, signs", [((0, 1, 2), (1, 1, 1)), ((2, 0, 1), (-1, 1, 1)),
+                                             ((1, 2, 0), (1, -1, -1)), ((0, 2, 1), (-1, -1, 1))],
+                             ids=["plain", "perm1", "perm2", "perm3"])
+    def test_rank3_matches_brute_force_without_search(self, monkeypatch, perm, signs):
+        gens = tuple((tuple(s * v[p] for p, s in zip(perm, signs)), w) for v, w in RANK3_GENS)
+        g = WeightedZnGroup(WeightedGenSet(3, gens))
+        idx = ball(g, 8)
+        bound = 43  # what abelian.depth_bound derives for this set
+        expected = self._brute_force(g, idx, bound)
+        calls = self._record_searches(monkeypatch)
+        assert certified_max_depth(idx, bound) == expected == (1, 173)
+        assert calls == []
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_heis_bounds_match_brute_force(self, bound):
+        g = HeisenbergGroup()
+        self._assert_matches_unfiltered(g, ball(g, 8), bound)
+
+    @pytest.mark.parametrize("bound", [3, 5])
+    def test_step_set_grows_only_with_max_depth(self, bound):
+        # Z marked by 1 (weight 1) and 7 (weight 4): the depth-4 elements
+        # climb across the weight-4 letter, so that letter may settle an
+        # element only once a search has certified depth 4.
+        g = WeightedZnGroup(WeightedGenSet(1, (((1,), 1), ((7,), 4))))
+        self._assert_matches_unfiltered(g, ball(g, 10), bound)
+
+    def test_room_below_running_max_is_searched(self, monkeypatch):
+        # Once the running max depth is 3, a rim element whose room is 1 or 2
+        # has a cap below 3: a farther neighbour across a weight-3 letter
+        # settles nothing there, so the element gets a full search.
+        g = WeightedZnGroup(WEIGHTED_13)
+        idx = ball(g, 10)
+        table = idx.table
+        rim = [e for e, d in table.items() if 1 <= idx.radius - d < 3
+               and any(table.get(g.apply_letter(e, lt), -1) > d
+                       for lt, w in g.weighted_letters if w == 3)]
+        calls = self._record_searches(monkeypatch)
+        assert certified_max_depth(idx, 3) == (3, 85)
+        assert rim and set(rim) <= set(calls)
+
+    def test_guard_when_room_below_lightest_letter(self):
+        # Every letter weighs >= 2, so a room-1 element certifies nothing,
+        # though a weight-2 step may lead farther.
+        g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))))
+        self._assert_matches_unfiltered(g, ball(g, 7), 3)
+
+    def test_weighted_violation_names_first_in_table_order(self):
+        g = WeightedZnGroup(WEIGHTED_13)
+        self._assert_matches_unfiltered(g, ball(g, 10), 2)
 
 
 def _dominates(index, f, center, radius):
