@@ -241,26 +241,24 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
     miss at a smaller cap certifies nothing and the element is skipped.
 
     Most elements are settled by one outward step instead of a search.
-    Let w_min be the lightest letter weight and t = max(max_depth, w_min).
-    If a letter of weight <= t takes the element to an indexed, strictly
-    farther element and the cap is >= t, then the search would meet that
-    neighbour within its cap: the depth lies in [w_min, t], so the element
-    is certified and max(max_depth, depth) = max(max_depth, w_min), exactly
-    what the search would give.  A violating element has nothing farther
-    within its cap >= t, so it is never settled this way and the first
-    violator in table order is still the one reported.
+    Let w_min be the lightest letter weight.  If a letter of weight w_min
+    takes the element to an indexed, strictly farther element and the cap
+    is >= w_min, the search would meet that neighbour within its cap and
+    nothing nearer, so the depth is exactly w_min and the element is
+    certified without the search.  A violating element has nothing
+    farther within its cap >= w_min, so it is never settled this way and
+    the first violator in table order is still the one reported.
     """
     group = index.group
     table = index.table
     w_min = min(w for _lt, w in group.weighted_letters)
+    climbs = _outward_step(index, table.__getitem__, w_min + 1)
     max_depth = checked = 0
-    t = w_min
-    climbs = _outward_step(index, table.__getitem__, t + 1)
     for e, d0 in table.items():
         cap = min(bound, index.radius - d0)
         if cap < 1:
             continue
-        if cap >= t and climbs(e, d0):
+        if cap >= w_min and climbs(e, d0):
             checked += 1
             max_depth = max(max_depth, w_min)
             continue
@@ -271,9 +269,6 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
             continue
         checked += 1
         max_depth = max(max_depth, report.depth)
-        if max_depth > t:
-            t = max_depth
-            climbs = _outward_step(index, table.__getitem__, t + 1)
     return max_depth, checked
 
 

@@ -372,32 +372,40 @@ class TestCertifiedMaxDepth:
         self._assert_matches_unfiltered(g, ball(g, 8), bound)
 
     @pytest.mark.parametrize("bound", [3, 5])
-    def test_step_set_grows_only_with_max_depth(self, bound):
+    def test_heavy_climbing_letter_settles_nothing(self, bound):
         # Z marked by 1 (weight 1) and 7 (weight 4): the depth-4 elements
-        # climb across the weight-4 letter, so that letter may settle an
-        # element only once a search has certified depth 4.
+        # climb only across the weight-4 letter, so they must be searched.
         g = WeightedZnGroup(WeightedGenSet(1, (((1,), 1), ((7,), 4))))
         self._assert_matches_unfiltered(g, ball(g, 10), bound)
 
-    def test_room_below_running_max_is_searched(self, monkeypatch):
-        # Once the running max depth is 3, a rim element whose room is 1 or 2
-        # has a cap below 3: a farther neighbour across a weight-3 letter
-        # settles nothing there, so the element gets a full search.
+    def test_searches_exactly_the_unsettled_elements(self, monkeypatch):
+        # {1,3} at r=10: an element is searched iff it has room and no
+        # weight-1 letter leads farther; a farther neighbour across a
+        # weight-3 letter settles nothing.
         g = WeightedZnGroup(WEIGHTED_13)
         idx = ball(g, 10)
         table = idx.table
-        rim = [e for e, d in table.items() if 1 <= idx.radius - d < 3
-               and any(table.get(g.apply_letter(e, lt), -1) > d
-                       for lt, w in g.weighted_letters if w == 3)]
+        light = [lt for lt, w in g.weighted_letters if w == 1]
+        unsettled = [e for e, d in table.items() if d < idx.radius
+                     and not any(table.get(g.apply_letter(e, lt), -1) > d for lt in light)]
         calls = self._record_searches(monkeypatch)
         assert certified_max_depth(idx, 3) == (3, 85)
-        assert rim and set(rim) <= set(calls)
+        assert unsettled and calls == unsettled
 
-    def test_guard_when_room_below_lightest_letter(self):
-        # Every letter weighs >= 2, so a room-1 element certifies nothing,
-        # though a weight-2 step may lead farther.
+    def test_room_below_lightest_letter_is_searched(self, monkeypatch):
+        # Every letter weighs >= 2, so a room-1 element has cap 1 < 2: a
+        # farther neighbour across a weight-2 letter settles nothing there,
+        # and the element gets a full search that certifies nothing.
         g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))))
-        self._assert_matches_unfiltered(g, ball(g, 7), 3)
+        idx = ball(g, 7)
+        table = idx.table
+        rim = [e for e, d in table.items() if idx.radius - d == 1
+               and any(table.get(g.apply_letter(e, lt), -1) > d
+                       for lt, w in g.weighted_letters if w == 2)]
+        expected = self._brute_force(g, idx, 3)
+        calls = self._record_searches(monkeypatch)
+        assert certified_max_depth(idx, 3) == expected
+        assert rim and set(rim) <= set(calls)
 
     def test_weighted_violation_names_first_in_table_order(self):
         g = WeightedZnGroup(WEIGHTED_13)
