@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, Word
+from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, UnknownLetter, Word
 from .search import (BallIndex, InsufficientRadius, ResourceCap, _uniform_cost,
                      certified_max_depth, default_budget)
 
@@ -136,7 +136,12 @@ class WeightedZnGroup(MarkedGroup):
         return self._zero
 
     def apply_letter(self, element: Vec, letter: Letter) -> Vec:
-        return _vec_add(element, self._vectors[letter])
+        try:
+            v = self._vectors[letter]
+        except KeyError:
+            raise UnknownLetter("letter %r not in alphabet %r"
+                                % (letter, self.alphabet.names)) from None
+        return _vec_add(element, v)
 
     def letter_weight(self, letter: Letter) -> int:
         return self.ws.gens[letter[0]][1]

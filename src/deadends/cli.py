@@ -170,7 +170,11 @@ def cmd_heis_family(
     radius: Optional[int] = None,
     fmt: str = "csv",
 ) -> int:
-    """Distance/depth rows for the deep central elements, n = 3..n_max."""
+    """Distance/depth rows for the deep central elements, n = 3..n_max.
+
+    The ball reaches only the largest distance 4 n_max + 2; radius sets
+    each row's depth cap, radius - (4n + 2), as if the ball reached it.
+    """
     header = ("n", "distance", "depth_bound", "bfs_depth")
     rows: list[tuple[int, int, int, str]] = []
     meta: dict = {"n_max": n_max}
@@ -178,9 +182,9 @@ def cmd_heis_family(
         if radius is None:
             radius = 4 * n_max + 2 + _depth_bound_ceil(n_max) + 1
         meta["radius"] = radius
-        index = ball(HeisenbergGroup(), radius)
+        index = ball(HeisenbergGroup(), min(radius, 4 * n_max + 2))
         for n in range(3, n_max + 1):
-            row = heis_family(n, index)
+            row = heis_family(n, index, cap=radius - (4 * n + 2))
             rows.append((row.n, row.distance, row.depth_lower_bound,
                          _depth_cell(row.bfs_depth, row.bfs_depth_exceeds_cap)))
     out_dir = Path(out)
@@ -297,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_fam, spec=False)
     p_fam.add_argument("--n-max", type=int, required=True)
     p_fam.add_argument("--radius", type=int, default=None,
-                       help="override the ball radius (default fits n_max)")
+                       help="row n searches depth out to this radius, cap "
+                            "radius - (4n+2) (default fits n_max)")
 
     p_gap = sub.add_parser("sol-gap", help="Sol norm gap sweep")
     add_common(p_gap)

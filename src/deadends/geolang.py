@@ -207,7 +207,15 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
     depth also convicts (the extension is a non-geodesic accepted word).
     Completeness fails if some ball element is never realized at its exact
     distance by an accepted word.
+
+    Refuses a weighted group: the pumping bound is stated for word length,
+    and a word's length is not its weight.
     """
+    if group.is_weighted:
+        raise DeadendError(
+            "verify_language needs unit letter weights: the pumping bound is "
+            "stated for word length, and %s has letter weights %s"
+            % (type(group).__name__, sorted({w for _lt, w in group.weighted_letters})))
     alive = _co_accessible(dfa)
     suffixes = _suffix_to_accept(dfa, alive)
     counter_word: Optional[Word] = None

@@ -5,8 +5,16 @@ package: it enumerates all elements within a given word-metric radius by
 breadth-first (or, for weighted alphabets, uniform-cost) search, storing
 exact distances.  Depth of an element g is the distance from g to the
 complement of the closed ball of radius d(1,g); it is measured by a second
-outward search over the index and is never silently truncated: if the cap
-is hit, the report carries a flagged lower bound instead.
+outward search from g and is never silently truncated: if the cap is hit,
+the report carries a flagged lower bound instead.
+
+A depth search needs exact distances only up to d0 = d(1,g), so the index
+need only reach radius R >= d0.  An element missing from the complete
+closed ball of radius R lies farther than R >= d0, so the search treats
+anything outside the table as farther.  It pops in (distance, element)
+order and stops at the first farther element, so every element it expands
+lies in B(d0), which the index holds; it keeps at most
+(1 + #letters) * |B(d0)| nodes.
 """
 
 from __future__ import annotations
@@ -216,18 +224,20 @@ class DepthReport:
 def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthReport:
     """Distance from element to the nearest strictly-farther element.
 
-    Requires index.radius >= d(1,element) + cap so that the outward search
-    cannot run off the edge of the table.
+    Needs only d0 = d(1,element) <= index.radius, and any cap >= 1.  The
+    search is not confined to the table: an element outside it lies
+    farther than index.radius >= d0, so it counts as farther.  Every
+    element expanded before the first farther one is popped lies in B(d0),
+    so the search holds at most (1 + #letters) * |B(d0)| nodes, and the
+    report equals the one a ball of radius d0 + cap would give.
     """
     if cap < 1:
         raise DeadendError("cap must be >= 1")
     d0 = index.distance(element)
-    if index.radius < d0 + cap:
-        raise InsufficientRadius(
-            "need radius >= %d to measure depth with cap %d" % (d0 + cap, cap))
     table = index.table
-    for d, witness in _uniform_cost(index.group, element, cap, table):
-        if table[witness] > d0:
+    outside = index.radius + 1
+    for d, witness in _uniform_cost(index.group, element, cap):
+        if table.get(witness, outside) > d0:
             return DepthReport(element, d0, d, witness)
     return DepthReport(element, d0, cap + 1, None, exceeds_cap=True)
 

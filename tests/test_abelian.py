@@ -32,7 +32,7 @@ from deadends.abelian import (
     weighted_distance,
     weighted_distances,
 )
-from deadends.core import DeadendError, Word
+from deadends.core import DeadendError, UnknownLetter, Word
 from deadends.search import ResourceCap, ball
 
 WS_WEIGHTED = WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4)))
@@ -60,6 +60,13 @@ class TestWeightedGenSet:
 
     def test_json_round_trip(self):
         assert WeightedGenSet.from_json_obj(WS_WEIGHTED.to_json_obj()) == WS_WEIGHTED
+
+
+class TestWeightedZnGroup:
+    @pytest.mark.parametrize("letter", [(0, 2), (5, 1), (-1, 1)])
+    def test_unknown_letter(self, letter):
+        with pytest.raises(UnknownLetter):
+            standard_zn(2).apply_letter((0, 0), letter)
 
 
 class TestWeightedDistance:

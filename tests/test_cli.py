@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from deadends.cli import main
+from deadends.cli import _depth_cell, main
 from deadends.geolang import zn_sorted_dfa
+from deadends.heis import HeisenbergGroup, heis_family
+from deadends.search import ball
 
 HEIS = {"kind": "heisenberg"}
 SOL = {"kind": "sol", "R": [[2, 1], [1, 1]]}
@@ -119,6 +121,27 @@ class TestHeisFamily:
         assert rows == ["n,distance,depth_bound,bfs_depth",
                         "3,14,3,7", "4,18,3,>=5"]
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_rows_match_the_full_radius_ball(self, tmp_path, extra):
+        # the CLI builds the ball only to 4 n_max + 2 = 18; its rows must
+        # equal those read off a ball built to the full radius
+        radius = 22 + extra
+        argv = ["heis-family", "--n-max", "4", "--out", str(tmp_path),
+                "--format", "json"]
+        if extra:
+            argv += ["--radius", str(radius)]
+        assert main(argv) == 0
+        index = ball(HeisenbergGroup(), radius)
+        expected = ["n,distance,depth_bound,bfs_depth"]
+        for n in (3, 4):
+            row = heis_family(n, index)
+            expected.append("%d,%d,%d,%s" % (
+                n, row.distance, row.depth_lower_bound,
+                _depth_cell(row.bfs_depth, row.bfs_depth_exceeds_cap)))
+        assert lines_of(tmp_path / "heis_family.csv") == expected
+        payload = json.loads((tmp_path / "heis_family.json").read_text())
+        assert payload["meta"] == {"n_max": 4, "radius": radius}
+
     def test_small_n_max_is_empty(self, tmp_path):
         assert main(["heis-family", "--n-max", "2", "--out", str(tmp_path)]) == 0
         assert lines_of(tmp_path / "heis_family.csv") == \
@@ -171,6 +194,18 @@ class TestDfa:
         assert not report["sound"]
         assert report["counterexample_word"] == "a a-"
         assert report["max_depth"] is None
+
+    def test_weighted_spec_refused(self, tmp_path, capsys):
+        spec = tmp_path / "w13.json"
+        spec.write_text(json.dumps({
+            "kind": "zn_weighted", "n": 2, "names": ["a", "b"],
+            "gens": [{"v": [1, 0], "w": 1}, {"v": [0, 1], "w": 3}]}))
+        dfa_path = tmp_path / "dfa.json"
+        dfa_path.write_text(json.dumps(zn_sorted_dfa(2).to_json_obj()))
+        assert main(["dfa", "--dfa", str(dfa_path), "--spec", str(spec),
+                     "--radius", "11", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "weights" in err and "not within radius" not in err
 
     def test_unreadable_dfa_exits_2(self, specs, tmp_path):
         assert main(["dfa", "--dfa", str(tmp_path / "nope.json"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deadends.abelian import standard_zn
+from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
 from deadends.core import DeadendError, GenAlphabet, Word
 from deadends.geolang import (
     Dfa,
@@ -173,6 +173,11 @@ class TestVerify:
         report = verify_language(quadrant_dfa(), group, ball(group, 4))
         assert report.sound and not report.complete and not report.ok
         assert report.counterexample_element == "(-1,0)"
+
+    def test_weighted_group_refused(self):
+        group = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3))))
+        with pytest.raises(DeadendError, match="weights"):
+            verify_language(zn_sorted_dfa(2), group, ball(group, 11))
 
     @pytest.mark.parametrize("make, sound, words, covered, word, element", [
         (loop_dfa, False, 22, 13, "a a-", "(0,-1)"),

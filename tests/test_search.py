@@ -27,7 +27,7 @@ from deadends.search import (
     function_depth,
     local_max_from_slack,
 )
-from deadends.sol import WreathZ2Z
+from deadends.sol import HypMatrix, SolGroup, WreathZ2Z
 
 
 # weights {1, 3}; every depth-2 dead end has a farther weight-3 neighbour
@@ -194,9 +194,32 @@ class TestDepth:
                 continue
             assert depth(g, e, idx, cap=1).depth == 1
 
-    def test_insufficient_radius(self, heis_group, heis_ball22):
-        with pytest.raises(InsufficientRadius):
-            depth(heis_group, (0, 0, 10), heis_ball22, cap=9)
+    # depth on B(R) must equal depth on a ball that reaches d0 + cap for
+    # every element and cap <= 4
+    @pytest.mark.parametrize("make, r", [
+        (HeisenbergGroup, 12),
+        (lambda: FreeGroup(2), 7),
+        (lambda: standard_zn(2), 8),
+        (lambda: WeightedZnGroup(WeightedGenSet(3, RANK3_GENS)), 9),
+        (lambda: SolGroup(HypMatrix([[2, 1], [1, 1]])), 8),
+    ], ids=["heis", "free2", "z2", "rank3", "sol"])
+    def test_ball_to_own_distance_suffices(self, make, r):
+        g = make()
+        small = ball(g, r)
+        big = ball(g, r + 4)
+        left_table = 0
+        for e in small.elements():
+            for cap in range(1, 5):
+                rep = depth(g, e, small, cap)
+                assert rep == depth(g, e, big, cap), (e, cap)
+                left_table += rep.witness is not None and rep.witness not in small
+        assert left_table > 0  # witnesses past the small table were found
+
+    def test_cap_past_the_table(self, heis_group, heis_ball22):
+        # d0 = 14, so cap 9 reaches radius 23, past the radius-22 table
+        rep = depth(heis_group, (0, 0, 10), heis_ball22, cap=9)
+        assert rep.depth == 7 and not rep.exceeds_cap
+        assert rep == depth(heis_group, (0, 0, 10), ball(heis_group, 23), cap=9)
 
     def test_cap_must_be_positive(self, heis_group, heis_ball22):
         with pytest.raises(DeadendError):
