@@ -361,23 +361,20 @@ def _parallelepiped_points(basis: Sequence[Vec], n: int) -> list[Vec]:
                                for r in range(n)])
     if pivots != list(range(n)):
         return []  # degenerate simplex contributes nothing
-    inv_rows = [row[n:] for row in mat]
+    # t_r = row_r . x lies in [0, 1] iff (scale_r row_r) . x lies in
+    # [0, scale_r], with scale_r the lcm of row_r's denominators: integers only
+    int_rows = []
+    for row in mat:
+        scale = math.lcm(*(f.denominator for f in row[n:]))
+        int_rows.append(([int(f * scale) for f in row[n:]], scale))
     ranges = []
     for c in range(n):
         lo = sum(min(0, basis[j][c]) for j in range(n))
         hi = sum(max(0, basis[j][c]) for j in range(n))
         ranges.append(range(lo, hi + 1))
-    pts = []
-    for x in itertools.product(*ranges):
-        ok = True
-        for r in range(n):
-            t = sum(inv_rows[r][c] * x[c] for c in range(n))
-            if t < 0 or t > 1:
-                ok = False
-                break
-        if ok:
-            pts.append(tuple(x))
-    return pts
+    return [x for x in itertools.product(*ranges)
+            if all(0 <= sum(a * xc for a, xc in zip(row, x)) <= scale
+                   for row, scale in int_rows)]
 
 
 @dataclass(frozen=True)

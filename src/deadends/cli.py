@@ -174,6 +174,8 @@ def cmd_heis_family(
 
     The ball reaches only the largest distance 4 n_max + 2; radius sets
     each row's depth cap, radius - (4n + 2), as if the ball reached it.
+    A cap too small to certify a row's bound raises InsufficientRadius
+    (exit 2) before any file is written.
     """
     header = ("n", "distance", "depth_bound", "bfs_depth")
     rows: list[tuple[int, int, int, str]] = []

@@ -208,6 +208,11 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
     Completeness fails if some ball element is never realized at its exact
     distance by an accepted word.
 
+    The search walks only live moves: once per call, each co-accessible
+    state gets its list of (letter, next state) moves into co-accessible
+    states, in canonical letter order, and the product search runs over
+    that table instead of stepping the automaton on every edge.
+
     Refuses a weighted group: the pumping bound is stated for word length,
     and a word's length is not its weight.
     """
@@ -218,6 +223,10 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
             % (type(group).__name__, sorted({w for _lt, w in group.weighted_letters})))
     alive = _co_accessible(dfa)
     suffixes = _suffix_to_accept(dfa, alive)
+    letters = dfa.alphabet.signed_letters()
+    moves = {s: [(lt, s2) for lt in letters if (s2 := dfa.step(s, lt)) in alive]
+             for s in alive}
+    table = index.table
     counter_word: Optional[Word] = None
     counter_elem: Optional[str] = None
     sound = True
@@ -242,42 +251,44 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
 
         if dfa.start in dfa.accept:
             covered.add(group.identity)
+        step = group.apply_letter
+        accept = dfa.accept
         frontier: list[tuple] = [start]
-        letters = dfa.alphabet.signed_letters()
         d = 0
         while frontier and d < index.radius:
             d += 1
             nxt: list[tuple] = []
             for node in frontier:
                 s, e = node
-                for lt in letters:
-                    s2 = dfa.step(s, lt)
-                    if s2 is None or s2 not in alive:
-                        continue
-                    e2 = group.apply_letter(e, lt)
+                live = moves[s]
+                words_checked += len(live)
+                for lt, s2 in live:
+                    e2 = step(e, lt)
                     key2 = (s2, e2)
-                    words_checked += 1
-                    dist = index.distance(e2)  # words can't outrun the ball
-                    prev = seen.get(key2)
-                    if prev is not None:
+                    try:
+                        dist = table[e2]
+                    except KeyError:  # words can't outrun the ball
+                        dist = index.distance(e2)  # raises NotInBall
+                    entry = (d, node, lt)
+                    prev = seen.setdefault(key2, entry)  # entry itself iff key2 is new
+                    if prev is not entry:
                         if prev[0] < d and sound:
                             sound = False
                             counter_word = word_to(node) + Word((lt,)) + suffixes[s2]
                         continue
-                    seen[key2] = (d, node, lt)
                     if dist != d:
                         if sound:
                             sound = False
                             counter_word = word_to(key2) + suffixes[s2]
                         continue
-                    if s2 in dfa.accept:
+                    if s2 in accept:
                         covered.add(e2)
                     nxt.append(key2)
             frontier = nxt
-    missing = [(d, e) for e, d in index.table.items() if e not in covered]
-    complete = not missing
-    if missing:
-        counter_elem = group.render(min(missing)[1])
+    complete = len(covered) == len(table)
+    if not complete:
+        counter_elem = group.render(
+            min((d, e) for e, d in table.items() if e not in covered)[1])
     return VerifyReport(
         sound=sound,
         complete=complete,
@@ -357,14 +368,19 @@ class FreeGroup(MarkedGroup):
                 raise DeadendError("provide names for rank > 26")
             names = tuple(base[:rank])
         self.alphabet = GenAlphabet(tuple(names))
+        self._inverse = {lt: GenAlphabet.inverse(lt) for lt in self.alphabet.signed_letters()}
 
     @property
     def identity(self) -> tuple[Letter, ...]:
         return ()
 
     def apply_letter(self, element, letter: Letter):
-        self.alphabet.check(letter)
-        if element and element[-1] == (letter[0], -letter[1]):
+        try:
+            inv = self._inverse[letter]
+        except KeyError:
+            raise UnknownLetter("letter %r not in alphabet %r"
+                                % (letter, self.alphabet.names)) from None
+        if element and element[-1] == inv:
             return element[:-1]
         return element + (letter,)
 

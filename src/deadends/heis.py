@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, OutOfBox, Word
-from .search import BallIndex, ClaimViolation, depth
+from .search import BallIndex, ClaimViolation, InsufficientRadius, depth
 
 HeisElement = tuple[int, int, int]
 
@@ -229,7 +229,9 @@ def heis_family(n: int, index: BallIndex, cap: Optional[int] = None) -> HeisFami
 
     Asserts distance 4n + 2 exactly and depth at least the integer bound;
     also re-derives a depth lower bound from the witness words alone.
-    Raises ClaimViolation if the oracle contradicts either claim.
+    Raises ClaimViolation if the oracle contradicts either claim.  A search
+    that finds nothing farther within the cap certifies only depth >= cap + 1;
+    when that falls short of either bound, raises InsufficientRadius.
     """
     if n <= 2:
         raise OutOfBox("family defined for n > 2")
@@ -243,6 +245,11 @@ def heis_family(n: int, index: BallIndex, cap: Optional[int] = None) -> HeisFami
     report = depth(index.group, g, index, cap)
     bound = _depth_bound_ceil(n)
     rederived = rederived_depth_bound(n)
+    need = max(bound, rederived)
+    if report.exceeds_cap and report.depth < need:
+        raise InsufficientRadius(
+            "n=%d: depth search capped at %d certifies only depth >= %d, below "
+            "bound %d; need radius >= %d" % (n, cap, report.depth, need, d + need - 1))
     if report.depth < bound:
         raise ClaimViolation("depth of %s is %d, below bound %d"
                              % (index.group.render(g), report.depth, bound))

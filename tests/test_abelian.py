@@ -158,6 +158,40 @@ class TestRowReduce:
         assert _parallelepiped_points([(1, 2), (2, 4)], 2) == []
         assert _parallelepiped_points([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3) == []
 
+    @pytest.mark.parametrize("basis, det", [
+        ([(2, 0), (1, 1)], 2),
+        ([(0, 2), (1, 0)], -2),
+        ([(1, 2), (2, 1)], -3),
+        ([(2, 1), (-1, 2)], 5),
+        ([(1, 0), (1, 2)], 2),
+        ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 2),
+        ([(0, 1, 1), (1, 1, 0), (1, 0, 1)], -2),
+        ([(1, 1, 0), (0, 1, 1), (2, 0, 1)], 3),
+        ([(2, 1, 0), (0, 1, 1), (1, 0, 2)], 5),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 3)], 3),
+    ])
+    def test_parallelepiped_matches_fraction_reference(self, basis, det):
+        # Cramer's rule over Fraction: t_j = det(basis with x for row j) / det
+        n = len(basis)
+        assert _cofactor_det([list(b) for b in basis]) == det
+        box = [range(sum(min(0, b[c]) for b in basis), sum(max(0, b[c]) for b in basis) + 1)
+               for c in range(n)]
+        expected = [x for x in itertools.product(*box)
+                    if all(0 <= Fraction(_cofactor_det([list(x) if k == j else list(b)
+                                                        for k, b in enumerate(basis)]),
+                                         det) <= 1
+                           for j in range(n))]
+        got = _parallelepiped_points(basis, n)
+        assert got == expected
+        assert len(got) > abs(det)  # the corners and the interior points
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * _cofactor_det([r[:c] + r[c + 1:] for r in m[1:]])
+               for c in range(len(m)))
+
 
 def _facet_with_vertices(poly, vertices):
     target = tuple(sorted(vertices))

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line driver and its file outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -141,6 +142,20 @@ class TestHeisFamily:
         assert lines_of(tmp_path / "heis_family.csv") == expected
         payload = json.loads((tmp_path / "heis_family.json").read_text())
         assert payload["meta"] == {"n_max": 4, "radius": radius}
+
+    def test_radius_short_of_the_bound_exits_2(self, tmp_path, capsys):
+        # cap 27 - 26 = 1 for n=6 certifies only depth >= 2, below bound 4
+        assert main(["heis-family", "--n-max", "6", "--radius", "27",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=6")
+        assert "capped at 1" in err and "radius >= 29" in err
+        assert not (tmp_path / "heis_family.csv").exists()
+
+    def test_default_radius_csv_pinned(self, tmp_path):
+        assert main(["heis-family", "--n-max", "6", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "heis_family.csv").read_bytes()).hexdigest() == \
+            "fc5c65a6534a6a3e7d2a846d6843ca657656c153ae7205cbcf4dd622c815a234"
 
     def test_small_n_max_is_empty(self, tmp_path):
         assert main(["heis-family", "--n-max", "2", "--out", str(tmp_path)]) == 0

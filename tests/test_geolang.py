@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
-from deadends.core import DeadendError, GenAlphabet, Word
+from deadends.core import DeadendError, GenAlphabet, UnknownLetter, Word
 from deadends.geolang import (
     Dfa,
     FreeGroup,
@@ -21,7 +21,7 @@ from deadends.geolang import (
     verify_language,
     zn_sorted_dfa,
 )
-from deadends.search import ball
+from deadends.search import BallIndex, NotInBall, ball
 
 AB = GenAlphabet(("a", "b"))
 
@@ -62,6 +62,24 @@ def diamond_dfa():
     """Accepts 'a b' and 'b a': two geodesics meet in one product state."""
     return Dfa(4, 0, frozenset({3}),
                {(0, (0, 1)): 1, (0, (1, 1)): 2, (1, (1, 1)): 3, (2, (0, 1)): 3}, AB)
+
+
+def dead_state_dfa():
+    """Accepts e, a^i and a^i b^j (i, j >= 1); 'a a-' enters dead state 3.
+
+    State 3 loops on a and b but never accepts, so trimming drops it: left
+    in, its arrival at (0,0) at depth 2 would convict a sound language.  No
+    move leaves state 0 on a- or b, and none leaves state 2 on a.
+    """
+    return Dfa(4, 0, frozenset({0, 1, 2}),
+               {(0, (0, 1)): 1, (1, (0, 1)): 1, (1, (1, 1)): 2, (2, (1, 1)): 2,
+                (1, (0, -1)): 3, (3, (0, 1)): 3, (3, (1, 1)): 3}, AB)
+
+
+def nonempty_sorted_dfa():
+    """The sorted Z^2 geodesics without the empty word: misses only (0,0)."""
+    dfa = zn_sorted_dfa(2)
+    return Dfa(dfa.n_states, dfa.start, dfa.accept - {dfa.start}, dfa.trans, dfa.alphabet)
 
 
 class TestDfa:
@@ -174,6 +192,15 @@ class TestVerify:
         assert report.sound and not report.complete and not report.ok
         assert report.counterexample_element == "(-1,0)"
 
+    def test_table_miss_raises_not_in_ball(self):
+        # a table with a hole is no closed ball: the word reaching it raises
+        group = standard_zn(2)
+        index = ball(group, 4)
+        table = {e: d for e, d in index.table.items() if e != (3, 0)}
+        holed = BallIndex(group, 4, table, index.spheres)
+        with pytest.raises(NotInBall, match=r"\(3,0\)"):
+            verify_language(zn_sorted_dfa(2), group, holed)
+
     def test_weighted_group_refused(self):
         group = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3))))
         with pytest.raises(DeadendError, match="weights"):
@@ -186,7 +213,10 @@ class TestVerify:
         (prefixed_loop_dfa, False, 16, 9, "b b a a-", "(0,0)"),
         (staircase_dfa, False, 5, 0, "a b a b a-", "(0,0)"),
         (diamond_dfa, True, 4, 1, None, "(0,0)"),
-    ], ids=["loop", "detour", "quadrant", "prefixed_loop", "staircase", "diamond"])
+        (dead_state_dfa, True, 21, 22, None, "(-1,0)"),
+        (nonempty_sorted_dfa, True, 84, 84, None, "(0,0)"),
+    ], ids=["loop", "detour", "quadrant", "prefixed_loop", "staircase", "diamond",
+            "dead_state", "nonempty_sorted"])
     def test_counterexamples_pinned(self, make, sound, words, covered, word, element):
         group = standard_zn(2)
         report = verify_language(make(), group, ball(group, 6))
@@ -247,6 +277,11 @@ class TestFixtures:
         e = g.evaluate(Word.parse("a b b- a- a", g.alphabet))
         assert e == ((0, 1),)
         assert g.render(g.identity) == "e"
+
+    @pytest.mark.parametrize("letter", [(2, 1), (0, 2), (0, 0), (-1, 1)])
+    def test_free_group_rejects_unknown_letter(self, letter):
+        with pytest.raises(UnknownLetter):
+            FreeGroup(2).apply_letter(((0, 1),), letter)
 
     def test_free_group_rank_bounds(self):
         with pytest.raises(DeadendError):

@@ -18,6 +18,7 @@ from deadends.heis import (
     rederived_depth_bound,
     word_area_normal,
 )
+from deadends.search import BallIndex, ClaimViolation, InsufficientRadius, ball
 
 A, B = (0, 1), (1, 1)
 
@@ -142,6 +143,22 @@ class TestFamily:
         row = heis_family(4, heis_ball22)
         assert (row.n, row.distance, row.depth_lower_bound) == (4, 18, 3)
         assert row.bfs_depth == 5 and row.bfs_depth_exceeds_cap
+
+    def test_cap_short_of_the_bound_is_insufficient_radius(self, heis_group):
+        # cap 1 finds nothing farther, so it certifies only depth >= 2 < 4
+        with pytest.raises(InsufficientRadius, match="n=6.*capped at 1.*radius >= 29"):
+            heis_family(6, ball(heis_group, 26), cap=1)
+
+    def test_witness_inside_a_short_cap_still_convicts(self, heis_group):
+        # a doctored table puts a neighbour of (0,0,10) farther out, so the
+        # cap-1 search finds a witness at depth 1 < 3: a failed claim, not a
+        # short radius
+        index = ball(heis_group, 14)
+        table = dict(index.table)
+        table[heis_step((0, 0, 10), A)] = 15
+        doctored = BallIndex(heis_group, 14, table, index.spheres)
+        with pytest.raises(ClaimViolation, match="depth of .* is 1, below bound 3"):
+            heis_family(3, doctored, cap=1)
 
     def test_family_rejects_small_n(self, heis_ball22):
         with pytest.raises(OutOfBox):
