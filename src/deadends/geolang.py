@@ -257,6 +257,7 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
         d = 0
         while frontier and d < index.radius:
             d += 1
+            grow = d < index.radius  # the radius layer is checked, never expanded
             nxt: list[tuple] = []
             for node in frontier:
                 s, e = node
@@ -283,7 +284,8 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
                         continue
                     if s2 in accept:
                         covered.add(e2)
-                    nxt.append(key2)
+                    if grow:
+                        nxt.append(key2)
             frontier = nxt
     complete = len(covered) == len(table)
     if not complete:

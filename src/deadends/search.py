@@ -15,13 +15,24 @@ anything outside the table as farther.  It pops in (distance, element)
 order and stops at the first farther element, so every element it expands
 lies in B(d0), which the index holds; it keeps at most
 (1 + #letters) * |B(d0)| nodes.
+
+A dead end of the index is an element at distance d < radius with no
+letter of the lightest weight w_min to a strictly farther indexed element
+(unweighted: no neighbour at distance d + 1).  Every other element with
+room for a step of w_min has depth exactly w_min, so only dead ends need
+a search.  The breadth-first build records them from the neighbours it
+computes anyway; any other index computes them on first use.  A scan
+still tests every letter lighter than min_depth on the dead ends it
+walks, so its exclusion stays exact.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Any, Callable, Iterable, Optional
 
 from .core import DeadendError, MarkedGroup
@@ -69,7 +80,14 @@ def default_budget() -> int:
 
 @dataclass
 class BallIndex:
-    """Exact distance table for the closed ball of the given radius."""
+    """Exact distance table for the closed ball of the given radius.
+
+    dead_ends maps each dead end, an element at distance d < radius with
+    no letter of the lightest weight to a strictly farther indexed element
+    (unweighted: no neighbour at d + 1), to d, in table order.  The
+    unweighted ball() records it; any other index, weighted or
+    hand-built, computes it from the table on first use.
+    """
 
     group: MarkedGroup
     radius: int
@@ -103,6 +121,11 @@ class BallIndex:
             if n in self.table:
                 yield n, w
 
+    @cached_property
+    def dead_ends(self) -> dict:
+        climbs = _outward_step(self, self.table.__getitem__, _lightest_weight(self.group) + 1)
+        return {e: d for e, d in self.table.items() if d < self.radius and not climbs(e, d)}
+
     def sphere_rows(self) -> list[tuple[int, int]]:
         return sorted(self.spheres.items())
 
@@ -127,6 +150,13 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
     weighted ones use uniform-cost search with (distance, element)
     tie-breaks, so the table insertion order never depends on hash seeds
     or threads.
+
+    The BFS records the dead ends as it goes: an element it expands climbs
+    when one of its neighbours is new or already sits in the layer being
+    built, which one setdefault per edge tells, and an element that
+    expands without climbing is a dead end.  That reuses the neighbours
+    the build computes, with no extra step.  A weighted ball leaves its
+    dead ends to BallIndex.dead_ends, which computes them on first use.
     """
     if radius < 0:
         raise DeadendError("radius must be nonnegative")
@@ -138,25 +168,36 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
         table = {ident: 0}
         spheres = {0: 1}
         step = group.apply_letter
+        put = table.setdefault
         letters = [lt for lt, _w in group.weighted_letters]
+        dead = {}
         frontier = [ident]
         dist = 0
         while frontier and dist < radius:
             dist += 1
-            next_frontier = []
+            size = len(table)
             for e in frontier:
+                climbs = False
                 for lt in letters:
-                    n = step(e, lt)
-                    if n not in table:
-                        if len(table) >= budget:
-                            raise ResourceCap(
-                                "ball(radius=%d) exceeds element budget %d" % (radius, budget))
-                        table[n] = dist
-                        next_frontier.append(n)
-            if next_frontier:
-                spheres[dist] = len(next_frontier)
-            frontier = next_frontier
-        return BallIndex(group, radius, table, spheres)
+                    # a new neighbour, or one already found in this layer
+                    if put(step(e, lt), dist) == dist:
+                        climbs = True
+                if not climbs:
+                    dead[e] = dist - 1
+                if len(table) > budget:
+                    raise ResourceCap(
+                        "ball(radius=%d) exceeds element budget %d" % (radius, budget))
+            grown = len(table) - size
+            if grown:
+                spheres[dist] = grown
+            if dist == radius:
+                break  # the radius layer is never expanded
+            # the layer just found is the tail of the table, in BFS order
+            frontier = list(islice(reversed(table), grown))
+            frontier.reverse()
+        index = BallIndex(group, radius, table, spheres)
+        index.dead_ends = dead
+        return index
 
     table = {}
     spheres = {}
@@ -250,25 +291,27 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
     full bound certifies depth > bound and raises ClaimViolation, while a
     miss at a smaller cap certifies nothing and the element is skipped.
 
-    Most elements are settled by one outward step instead of a search.
-    Let w_min be the lightest letter weight.  If a letter of weight w_min
-    takes the element to an indexed, strictly farther element and the cap
-    is >= w_min, the search would meet that neighbour within its cap and
-    nothing nearer, so the depth is exactly w_min and the element is
+    Only dead ends and elements whose cap is below the lightest letter
+    weight w_min are searched.  The dead ends are index.dead_ends:
+    elements at distance < radius with no letter of weight w_min to a
+    strictly farther indexed element, recorded by the unweighted BFS and
+    computed on first use for any other index.  Any other element has a
+    letter of weight w_min to an indexed, strictly farther element; with
+    the cap >= w_min the search would meet that neighbour within its cap
+    and nothing nearer, so the depth is exactly w_min and the element is
     certified without the search.  A violating element has nothing
-    farther within its cap >= w_min, so it is never settled this way and
-    the first violator in table order is still the one reported.
+    farther within its cap >= w_min, so it is a dead end, and the first
+    violator in table order is still the one reported.
     """
     group = index.group
-    table = index.table
-    w_min = min(w for _lt, w in group.weighted_letters)
-    climbs = _outward_step(index, table.__getitem__, w_min + 1)
+    w_min = _lightest_weight(group)
+    dead = index.dead_ends
     max_depth = checked = 0
-    for e, d0 in table.items():
+    for e, d0 in index.table.items():
         cap = min(bound, index.radius - d0)
         if cap < 1:
             continue
-        if cap >= w_min and climbs(e, d0):
+        if cap >= w_min and e not in dead:
             checked += 1
             max_depth = max(max_depth, w_min)
             continue
@@ -280,6 +323,11 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
         checked += 1
         max_depth = max(max_depth, report.depth)
     return max_depth, checked
+
+
+def _lightest_weight(group: MarkedGroup) -> int:
+    """w_min, the weight of the lightest letter: no depth is smaller."""
+    return min(w for _lt, w in group.weighted_letters)
 
 
 def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
@@ -315,15 +363,24 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
     An element with a strictly farther neighbour across a letter of weight
     w < min_depth is skipped without a search: that neighbour is indexed
     (w < min_depth <= cap and distance + cap <= radius), so depth <= w.
+    With min_depth > w_min, the lightest letter weight, that skips every
+    element but the dead ends (index.dead_ends: no letter of weight w_min
+    leads farther; recorded by the unweighted BFS, computed on first use
+    for any other index), so the scan walks the dead ends alone.  It
+    still applies the same test to each, which keeps the exclusion exact
+    when letters heavier than w_min are lighter than min_depth.  With
+    min_depth <= w_min every element is at least that deep and the scan
+    walks the whole table.
     """
     if cap is None:
         cap = min_depth
     if cap < min_depth:
         raise DeadendError("cap %d below min_depth %d" % (cap, min_depth))
     table = index.table
+    walk = index.dead_ends if min_depth > _lightest_weight(index.group) else table
     climbs = _outward_step(index, table.__getitem__, min_depth)
     out = []
-    for e, d0 in table.items():
+    for e, d0 in walk.items():
         if d0 + cap > index.radius or climbs(e, d0):
             continue
         report = depth(group, e, index, cap)

@@ -11,6 +11,7 @@ from deadends.core import DeadendError, Word
 from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup, heis_inverse
 from deadends.search import (
+    BallIndex,
     BoundViolated,
     ClaimViolation,
     HypothesisViolated,
@@ -77,6 +78,15 @@ def _reference_ball(group, radius):
     return table
 
 
+def _record_searches(monkeypatch):
+    """Elements the search module hands to search.depth, in call order."""
+    calls = []
+    real = search.depth
+    monkeypatch.setattr(search, "depth",
+                        lambda g, e, idx, cap: calls.append(e) or real(g, e, idx, cap))
+    return calls
+
+
 class TestBall:
     @pytest.mark.parametrize("group, radius", [(HeisenbergGroup(), 12), (FreeGroup(2), 6),
                                                (WreathZ2Z(), 6), (standard_zn(3), 6)],
@@ -141,6 +151,18 @@ class TestBall:
 
     def test_sphere_counts_sum_to_size(self, heis_ball22):
         assert sum(c for _d, c in heis_ball22.sphere_rows()) == len(heis_ball22)
+
+    @pytest.mark.parametrize("group, radius, count", [
+        (HeisenbergGroup(), 14, 18), (SolGroup(HypMatrix([[2, 1], [1, 1]])), 9, 0),
+        (WreathZ2Z(), 6, 0), (FreeGroup(2), 6, 0), (HeisenbergGroup(), 0, 0),
+        (HeisenbergGroup(), 1, 0)], ids=["heis", "sol", "wreath", "f2", "r0", "r1"])
+    def test_recorded_dead_ends_match_references(self, group, radius, count):
+        idx = ball(group, radius)
+        on_first_use = BallIndex(group, radius, idx.table, idx.spheres).dead_ends
+        brute = {e: d for e, d in idx.table.items() if d < radius
+                 and all(idx.distance(n) != d + 1 for n, _w in idx.neighbors_in_ball(e))}
+        assert len(brute) == count
+        assert list(idx.dead_ends.items()) == list(on_first_use.items()) == list(brute.items())
 
     def test_consistency_every_element_has_inward_neighbor(self):
         for g in (HeisenbergGroup(), standard_zn(2)):
@@ -298,6 +320,34 @@ class TestDeadendScan:
         assert expected
         assert deadend_scan(g, idx, 1) == expected
 
+    @pytest.mark.parametrize("min_depth, hits", [(2, 61), (4, 0)])
+    def test_lightest_weight_two_matches_brute_force(self, monkeypatch, min_depth, hits):
+        # Letters weigh {2, 3}.  At min_depth 2 = w_min every element with
+        # room is reported and searched, dead end or not; at min_depth 4 the
+        # dead ends with room all climb across a weight-3 letter, which
+        # excludes them without a search.
+        g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((3, 1), 3))))
+        idx = ball(g, 12)
+        room = [e for e, d in idx.table.items() if d + min_depth <= idx.radius]
+        expected = self._brute_force(g, idx, min_depth)
+        calls = _record_searches(monkeypatch)
+        assert deadend_scan(g, idx, min_depth) == expected
+        assert len(expected) == hits
+        if min_depth == 2:
+            assert calls == room and len(room) == hits
+        else:
+            assert calls == [] and len([e for e in idx.dead_ends if e in room]) == 12
+
+    def test_searches_only_the_dead_ends(self, monkeypatch):
+        g = HeisenbergGroup()
+        idx = ball(g, 12)
+        dead = [e for e, d in idx.dead_ends.items() if d + 2 <= idx.radius]
+        calls = _record_searches(monkeypatch)
+        reports = deadend_scan(g, idx, 2)
+        assert calls == dead and len(calls) == 12
+        rebuilt = BallIndex(g, idx.radius, idx.table, idx.spheres)
+        assert deadend_scan(g, rebuilt, 2) == reports
+
 
 class TestCertifiedMaxDepth:
     @staticmethod
@@ -361,18 +411,9 @@ class TestCertifiedMaxDepth:
         with pytest.raises(ClaimViolation, match=re.escape(message)):
             certified_max_depth(idx, bound)
 
-    @staticmethod
-    def _record_searches(monkeypatch):
-        """Elements certified_max_depth hands to search.depth, in call order."""
-        calls = []
-        real = search.depth
-        monkeypatch.setattr(search, "depth",
-                            lambda g, e, idx, cap: calls.append(e) or real(g, e, idx, cap))
-        return calls
-
     def test_free_group_runs_no_search(self, monkeypatch):
         idx = ball(FreeGroup(2), 6)
-        calls = self._record_searches(monkeypatch)
+        calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, 2) == (1, 485)
         assert calls == []
 
@@ -385,7 +426,7 @@ class TestCertifiedMaxDepth:
         idx = ball(g, 8)
         bound = 43  # what abelian.depth_bound derives for this set
         expected = self._brute_force(g, idx, bound)
-        calls = self._record_searches(monkeypatch)
+        calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, bound) == expected == (1, 173)
         assert calls == []
 
@@ -411,7 +452,7 @@ class TestCertifiedMaxDepth:
         light = [lt for lt, w in g.weighted_letters if w == 1]
         unsettled = [e for e, d in table.items() if d < idx.radius
                      and not any(table.get(g.apply_letter(e, lt), -1) > d for lt in light)]
-        calls = self._record_searches(monkeypatch)
+        calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, 3) == (3, 85)
         assert unsettled and calls == unsettled
 
@@ -426,7 +467,7 @@ class TestCertifiedMaxDepth:
                and any(table.get(g.apply_letter(e, lt), -1) > d
                        for lt, w in g.weighted_letters if w == 2)]
         expected = self._brute_force(g, idx, 3)
-        calls = self._record_searches(monkeypatch)
+        calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, 3) == expected
         assert rim and set(rim) <= set(calls)
 
