@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Optional
 
 from .core import DeadendError, MarkedGroup
@@ -299,21 +299,37 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
     letter of weight w_min to an indexed, strictly farther element; with
     the cap >= w_min the search would meet that neighbour within its cap
     and nothing nearer, so the depth is exactly w_min and the element is
-    certified without the search.  A violating element has nothing
-    farther within its cap >= w_min, so it is a dead end, and the first
-    violator in table order is still the one reported.
+    certified without the search.
+
+    With bound >= w_min those settled elements are the ones at distance
+    <= radius - w_min that are no dead ends, so the spheres count them and
+    no loop visits them.  The searches cover the dead ends at those
+    distances, in table order, then the rim radius - w_min < d < radius,
+    which is the tail of the distance-ordered table before the radius
+    layer.  A violating element has nothing farther within its cap, and
+    only a cap >= w_min can equal the bound, so it is one of those dead
+    ends, and the first violator in table order is still the one
+    reported.  With bound < w_min every cap is below w_min, nothing
+    settles, and every element with room is searched.
     """
     group = index.group
+    radius = index.radius
     w_min = _lightest_weight(group)
-    dead = index.dead_ends
     max_depth = checked = 0
-    for e, d0 in index.table.items():
-        cap = min(bound, index.radius - d0)
+    if bound < w_min:
+        searched = index.table.items()
+    else:
+        inner = radius - w_min
+        dead = [(e, d) for e, d in index.dead_ends.items() if d <= inner]
+        checked = sum(c for d, c in index.spheres.items() if d <= inner) - len(dead)
+        if checked:
+            max_depth = w_min
+        rim = sum(c for d, c in index.spheres.items() if inner < d < radius)
+        layer = index.spheres.get(radius, 0)
+        searched = chain(dead, islice(reversed(index.table.items()), layer, layer + rim))
+    for e, d0 in searched:
+        cap = min(bound, radius - d0)
         if cap < 1:
-            continue
-        if cap >= w_min and e not in dead:
-            checked += 1
-            max_depth = max(max_depth, w_min)
             continue
         report = depth(group, e, index, cap)
         if report.exceeds_cap:

@@ -18,6 +18,11 @@ degree window.  The window is proven, not floating point: it follows from a
 lemma on the contracting part of the target vector and is decided by exact
 sign tests in Z[sqrt(tr^2 - 4 det)].  The search memo of a matrix lives on
 its HypMatrix and counts against DEADEND_BUDGET; past it, ResourceCap.
+
+The norms (abs_norm, bdiff_gap) read only the extents of the minimal
+supports: the clamped top and bottom degrees that the two-sweep
+lamplighter length needs.  They come from an extents memo that runs the
+same strip recursion as the support enumeration but builds no supports.
 """
 
 from __future__ import annotations
@@ -453,14 +458,20 @@ def _add_unit(terms: tuple, k: int, s: int) -> Optional[tuple]:
     return terms + ((k, s),)
 
 
+# The extents of the empty support, the one minimal support of 0.
+_ZERO_EXTENTS = frozenset({(0, 0)})
+
+
 class _SupportSearch:
     """Support search for one matrix: exact degree windows, one strip table
-    per window size, and the reach and exact-length memos.
+    per window size, and the reach, exact-length and extents memos.
 
     Memo keys are (x, y, l).  reach[(x, y, l)] says whether (x, y) has a
     support of length at most l; reps[(x, y, l)] holds every support of
     length exactly l found through in-window strips, as sorted
-    (p1 terms, p2 terms) pairs.  Both memos count against `budget`.
+    (p1 terms, p2 terms) pairs; extents[(x, y, l)], for l the minimal
+    length of (x, y), holds the clamped (max(0, top), min(0, bot)) pairs
+    of its minimal supports.  All three memos count against `budget`.
     """
 
     def __init__(self, R: HypMatrix):
@@ -477,11 +488,13 @@ class _SupportSearch:
         self._tpow = [(1, 0), self._t1]
         self._log_t = 2.0 * math.log((abs(tr) + math.sqrt(disc)) / 2.0)
         self._c2 = self._window_constant() ** 2
-        self._unit_forms = frozenset((abs(q), abs(r)))
+        self._unit_forms = frozenset((q, -q, r, -r))
         self._strips: dict[int, list[tuple[int, int, int, int, int]]] = {}
         self._units: dict[int, frozenset[Vec2]] = {}
+        self._form_steps: dict[int, list[tuple[int, int, int, int, int]]] = {}
         self.reach_memo: dict[tuple[int, int, int], bool] = {}
         self.reps_memo: dict[tuple[int, int, int], tuple] = {}
+        self.extents_memo: dict[tuple[int, int, int], frozenset[tuple[int, int]]] = {}
         self.budget = 0
 
     def _w(self, x: int, y: int) -> Vec2:
@@ -573,10 +586,21 @@ class _SupportSearch:
                     table.append((k, comp, -1, -dx, -dy))
             self._strips[N] = table
             self._units[N] = frozenset((dx, dy) for _k, _c, _s, dx, dy in table)
+            p, r, q, s = self._rows
+            self._form_steps[N] = [
+                (self._form(dx, dy), 2 * q * dx + (s - p) * dy,
+                 (s - p) * dx - 2 * r * dy, dx, dy)
+                for _k, _c, _s, dx, dy in table]
         return table
 
+    def _form(self, x: int, y: int) -> int:
+        """Q(x, y) = q x^2 + (s - p) x y - r y^2; see _is_unit."""
+        p, r, q, s = self._rows
+        return q * x * x + (s - p) * x * y - r * y * y
+
     def _store(self, memo: dict, key: tuple[int, int, int], value) -> None:
-        if len(self.reach_memo) + len(self.reps_memo) >= self.budget:
+        if (len(self.reach_memo) + len(self.reps_memo)
+                + len(self.extents_memo) >= self.budget):
             raise ResourceCap(
                 "support memo reached the budget of %d entries" % self.budget)
         memo[key] = value
@@ -588,8 +612,11 @@ class _SupportSearch:
         which is inside the window of (z, l); stripping one unit there leaves
         a support of length l' - 1 of the remainder, so in-window strips are
         a complete search.  Level 1 is `_is_unit`, with no recursion and no
-        memo entry; above it every remainder is looked up in the memo before
-        any recursion.
+        memo entry.  Level 2 tests each remainder z - u by its form first:
+        Q(z - u) = Q(z) + Q(u) - (x a_u + y b_u), with Q(u), a_u and b_u
+        kept per strip table, and calls `_is_unit` only when |Q(z - u)| is
+        a unit form.  Above it every remainder is looked up in the memo
+        before any recursion.
         """
         if x == 0 and y == 0:
             return True
@@ -602,11 +629,18 @@ class _SupportSearch:
         found = memo.get(key)
         if found is not None:
             return found
-        table = self.strips(self.window(x, y, l))
+        N = self.window(x, y, l)
+        table = self.strips(N)
         m = l - 1
         if m == 1:
-            unit = self._is_unit
-            found = unit(x, y) or any(unit(x - dx, y - dy) for _k, _c, _s, dx, dy in table)
+            found = self._is_unit(x, y)
+            if not found:
+                forms = self._unit_forms
+                qz = self._form(x, y)
+                for qu, au, bu, dx, dy in self._form_steps[N]:
+                    if qz + qu - x * au - y * bu in forms and self._is_unit(x - dx, y - dy):
+                        found = True
+                        break
         else:
             found = False
             open_rests = []
@@ -631,8 +665,7 @@ class _SupportSearch:
         are rejected at once; the rest are matched against the strip vectors
         of their window, which holds every unit they could be.
         """
-        p, r, q, s = self._rows
-        if abs(q * x * x + (s - p) * x * y - r * y * y) not in self._unit_forms:
+        if self._form(x, y) not in self._unit_forms:
             return False
         N = self.window(x, y, 1)
         self.strips(N)
@@ -668,6 +701,36 @@ class _SupportSearch:
                         out.add((t1, q))
         found = tuple(sorted(out))
         self._store(self.reps_memo, key, found)
+        return found
+
+    def extents(self, x: int, y: int, l: int) -> frozenset[tuple[int, int]]:
+        """(max(0, top), min(0, bot)) over the supports of (x, y) of length
+        exactly l, for l the minimal length of (x, y).
+
+        The recursion of `reps`, keeping only extents: a unit at degree k
+        turns the remainder's (hi, lo) into (max(k, hi), min(k, lo)).  That
+        is exact at a minimal length l.  No unit can cancel a term of the
+        remainder's support, since that would leave a support of z of
+        length l - 2.  A remainder with a support of length l - 1 has none
+        shorter, or z would have one shorter than l, so every remainder
+        the recursion visits is again at its own minimal length.  The
+        remainder is 0 only when z is a unit, at m = 0.
+        """
+        if l == 0:
+            return _ZERO_EXTENTS
+        key = (x, y, l)
+        found = self.extents_memo.get(key)
+        if found is not None:
+            return found
+        m = l - 1
+        out = set()
+        for k, _c, _s, dx, dy in self.strips(self.window(x, y, l)):
+            rx, ry = x - dx, y - dy
+            if self.reach(rx, ry, m):
+                for hi, lo in self.extents(rx, ry, m):
+                    out.add((k if k > hi else hi, k if k < lo else lo))
+        found = frozenset(out)
+        self._store(self.extents_memo, key, found)
         return found
 
 
@@ -721,6 +784,23 @@ def minimal_reps(zvec: Vec2, R: HypMatrix, l_cap: int = 24) -> list[SupportVecto
     )
 
 
+def _minimal_extents(zvec: Vec2, R: HypMatrix, l_cap: int) -> frozenset[tuple[int, int, int]]:
+    """Distinct (max(0, top), min(0, bot), length) over the minimal supports
+    of zvec, all that the two-sweep length reads of them.
+
+    The minimal length is the least l with a support of length at most l;
+    past l_cap, CapExceeded, exactly where minimal_reps raises it.
+    """
+    x, y = zvec
+    search = _support_search(R)
+    for l in range(l_cap + 1):
+        if search.reach(x, y, l):
+            return frozenset((hi, lo, l) for hi, lo in search.extents(x, y, l))
+    raise CapExceeded(
+        "no support of %r within length cap %d" % (zvec, l_cap)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Word length: closed formula and wreath-product oracle.
 
@@ -730,11 +810,6 @@ def _extent(v: SupportVector) -> tuple[int, int, int]:
     top, bot = v.top, v.bot
     return (max(0, top) if top is not None else 0,
             min(0, bot) if bot is not None else 0, v.length)
-
-
-def _extents(reps: Iterable[SupportVector]) -> frozenset[tuple[int, int, int]]:
-    """Distinct extents of a vector's supports; ll_length needs no more."""
-    return frozenset(_extent(v) for v in reps)
 
 
 def _sweep_length(extent: tuple[int, int, int], z: int) -> int:
@@ -859,9 +934,10 @@ def abs_norm(g: SolElement, R: HypMatrix, l_cap: int = 24) -> int:
     part, so a support term of degree d sits at cursor -d; flipping the
     axis target instead of the support gives the same traversal cost.
     Dominates the word norm |g| because geodesics may use non-minimal
-    supports with a cheaper cursor sweep.
+    supports with a cheaper cursor sweep.  Read from the minimal extents;
+    no support is built.
     """
-    extents = _extents(minimal_reps((g[0], g[1]), R, l_cap))
+    extents = _minimal_extents((g[0], g[1]), R, l_cap)
     return min(_sweep_length(t, -g[2]) for t in extents)
 
 
@@ -886,6 +962,10 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
     can only overshoot: gap = ||g|| - |g| >= 0, and its maximum over the
     ball is an empirical bound on the defect.  A negative gap means the
     support bookkeeping lost a shorter word and raises ClaimViolation.
+
+    Each norm is read from the minimal extents of the plane part, with no
+    support built; a plane part with no support within l_cap is skipped,
+    as minimal_reps would raise CapExceeded for it.
     """
     if l_cap is None:
         l_cap = index.radius
@@ -897,7 +977,7 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
         u = (e[0], e[1])
         if u not in extents_cache:
             try:
-                extents_cache[u] = _extents(minimal_reps(u, R, l_cap))
+                extents_cache[u] = _minimal_extents(u, R, l_cap)
             except CapExceeded:
                 extents_cache[u] = None
         extents = extents_cache[u]
@@ -918,87 +998,6 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
         max_gap=max_gap,
         elements_checked=len(rows),
         skipped=skipped,
-    )
-
-
-@dataclass(frozen=True)
-class TaubdReport:
-    """Fitted constants for the eigendistance growth of longer supports.
-
-    For each sampled alternative support v' of the same vector, with
-    l(v') >= l(v) for a minimal v, the top-degree spread obeys
-
-        |tau|^(2 M(v)) < |tau|^(2 M(v')) * (D1 (l(v') - l(v)) + D2)
-
-    with D2 > 1 and D1 > D2 ln|tau| / 4.
-    """
-
-    d1: float
-    d2: float
-    baseline_length: int
-    samples: tuple[tuple[int, int, int], ...]  # (l(v'), M(v'), M(v))
-    vacuous: bool
-
-
-def _unclamped_top(v: SupportVector) -> int:
-    t = v.top
-    return t if t is not None else 0
-
-
-def taubd_check(
-    u: Vec2, R: HypMatrix, l_cap: int = 24, alt_count: int = 64
-) -> TaubdReport:
-    """Sample supports of u longer than minimal and fit (D1, D2) above.
-
-    Vacuous (no constraint) when u = 0 or no longer support shows up in the
-    sampled window; the returned constants still satisfy the shape bounds.
-    """
-    if not isinstance(R, HypMatrix):
-        R = HypMatrix(R)
-    eg = eigen_geometry(R)
-    at = abs(eg.tau)
-    floor_d2 = 1.0 + 1e-6
-    if u == (0, 0):
-        return TaubdReport(
-            d1=floor_d2 * math.log(at) / 4.0 + 1e-6,
-            d2=floor_d2,
-            baseline_length=0,
-            samples=(),
-            vacuous=True,
-        )
-    base = minimal_reps(u, R, l_cap)
-    l_star = base[0].length
-    m_base = min(_unclamped_top(v) for v in base)
-    samples: list[tuple[int, int, int]] = []
-    for v in base:
-        samples.append((v.length, _unclamped_top(v), m_base))
-    for extra in range(1, 5):
-        if len(samples) >= alt_count:
-            break
-        for v in _reps_at_length(u, R, l_star + extra):
-            samples.append((v.length, _unclamped_top(v), m_base))
-            if len(samples) >= alt_count:
-                break
-    # Fit: required(sample) = |tau|^(2 m_base - 2 M(v')) must be < D1 dl + D2.
-    d2 = floor_d2
-    for l_alt, m_alt, m_b in samples:
-        if l_alt == l_star:
-            need = at ** (2 * m_b - 2 * m_alt)
-            d2 = max(d2, need * (1.0 + 1e-6))
-    d1 = d2 * math.log(at) / 4.0 + 1e-6
-    for l_alt, m_alt, m_b in samples:
-        dl = l_alt - l_star
-        if dl <= 0:
-            continue
-        need = at ** (2 * m_b - 2 * m_alt)
-        if need >= d1 * dl + d2:
-            d1 = max(d1, (need - d2) / dl * (1.0 + 1e-6))
-    return TaubdReport(
-        d1=d1,
-        d2=d2,
-        baseline_length=l_star,
-        samples=tuple(samples),
-        vacuous=not samples,
     )
 
 

@@ -176,6 +176,23 @@ class TestSolGap:
         payload = json.loads((tmp_path / "sol_gap.json").read_text())
         assert payload["max_gap"] == 4 and payload["elements_checked"] == 3355
 
+    def test_r8_csv_pinned(self, specs, tmp_path):
+        # the sha256 the sol_gap benchmark workload pins
+        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "8",
+                     "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "sol_gap.csv").read_bytes()).hexdigest() == \
+            "621b25a497929de76c7b4e1d69ee03e55f099947febe6386269de20737794ecb"
+
+    def test_r7_json_pinned(self, specs, tmp_path):
+        # the spec path varies per run; every other field is pinned
+        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "7",
+                     "--out", str(tmp_path), "--format", "json"]) == 0
+        payload = json.loads((tmp_path / "sol_gap.json").read_text())
+        assert payload["spec"].pop("path") == specs["sol"]
+        canonical = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(canonical).hexdigest() == \
+            "70abbb83ec4e1ea6f04fe42bebdcf76790f40e5737e28abbaf2b46d29840bd4f"
+
     def test_malformed_matrix_exits_2(self, tmp_path):
         spec = tmp_path / "sol.json"
         spec.write_text(json.dumps({"kind": "sol", "R": [[1, 1], [0, 1]]}))
@@ -254,8 +271,9 @@ class TestBudgetEnv:
 
     def test_budget_env_var_caps_the_support_memo(self, specs, tmp_path,
                                                    monkeypatch, capsys):
-        # The radius-6 ball has 1,521 elements; its sweep needs 2,376 memo entries.
-        monkeypatch.setenv("DEADEND_BUDGET", "2000")
+        # The radius-6 ball has 1,521 elements; its sweep needs 1,968 memo
+        # entries (1,456 reach, 512 extents), so 1,700 fits the ball, not the memo.
+        monkeypatch.setenv("DEADEND_BUDGET", "1700")
         assert main(["sol-gap", "--spec", specs["sol"], "--radius", "6",
                      "--out", str(tmp_path)]) == 1
         assert "support memo" in capsys.readouterr().err

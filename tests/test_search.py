@@ -87,6 +87,26 @@ def _record_searches(monkeypatch):
     return calls
 
 
+def _doctored_z2():
+    """Z^2 at radius 5 with (1,0) recorded at distance 2, in distance order.
+
+    (1,0) then has no farther neighbour, and the nearest farther element,
+    (3,0), is two steps away, so a bound of 1 convicts it."""
+    g = standard_zn(2)
+    moved = {e: 2 if e == (1, 0) else d for e, d in ball(g, 5).table.items()}
+    table = dict(sorted(moved.items(), key=lambda pair: pair[1]))
+    spheres = {}
+    for d in table.values():
+        spheres[d] = spheres.get(d, 0) + 1
+    return BallIndex(g, 5, table, spheres)
+
+
+def _rebuilt(group, radius):
+    """A hand-built index over the ball's table: dead ends on first use."""
+    idx = ball(group, radius)
+    return BallIndex(group, radius, dict(idx.table), dict(idx.spheres))
+
+
 class TestBall:
     @pytest.mark.parametrize("group, radius", [(HeisenbergGroup(), 12), (FreeGroup(2), 6),
                                                (WreathZ2Z(), 6), (standard_zn(3), 6)],
@@ -470,6 +490,58 @@ class TestCertifiedMaxDepth:
         calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, 3) == expected
         assert rim and set(rim) <= set(calls)
+
+    @staticmethod
+    def _walk_every_element(idx, bound):
+        """The certification as a walk over every table element: settle an
+        element with room for w_min that is no dead end, search the rest.
+        A violation comes back as the message naming the first violator."""
+        g = idx.group
+        w_min = min(w for _lt, w in g.weighted_letters)
+        max_depth = checked = 0
+        for e, d in idx.table.items():
+            cap = min(bound, idx.radius - d)
+            if cap < 1:
+                continue
+            if cap >= w_min and e not in idx.dead_ends:
+                checked += 1
+                max_depth = max(max_depth, w_min)
+                continue
+            report = depth(g, e, idx, cap)
+            if report.exceeds_cap:
+                if cap == bound:
+                    return "element %s has depth > %d" % (g.render(e), bound)
+                continue
+            checked += 1
+            max_depth = max(max_depth, report.depth)
+        return max_depth, checked
+
+    @pytest.mark.parametrize("make, bounds", [
+        (lambda: ball(HeisenbergGroup(), 12), (1, 2, 3, 4, 6)),
+        (lambda: ball(FreeGroup(2), 6), (1, 2, 5)),
+        (lambda: ball(WeightedZnGroup(WeightedGenSet(
+            2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 3)))), 12), (1, 2, 3, 4, 7)),
+        (lambda: _rebuilt(HeisenbergGroup(), 5), (1, 2, 3)),
+        (_doctored_z2, (1, 2, 3)),
+    ], ids=["heis12", "f2_6", "w233", "heis5_rebuilt", "z2_doctored"])
+    def test_matches_the_walk_over_every_element(self, make, bounds):
+        idx = make()
+        outcomes = []
+        for bound in bounds:
+            expected = self._walk_every_element(idx, bound)
+            if isinstance(expected, str):
+                with pytest.raises(ClaimViolation, match="^%s$" % re.escape(expected)):
+                    certified_max_depth(idx, bound)
+            else:
+                assert certified_max_depth(idx, bound) == expected
+            outcomes.append(expected)
+        assert any(isinstance(o, tuple) for o in outcomes)
+
+    def test_doctored_index_names_its_violator(self):
+        idx = _doctored_z2()
+        with pytest.raises(ClaimViolation, match=r"^element \(1,0\) has depth > 1$"):
+            certified_max_depth(idx, 1)
+        assert certified_max_depth(idx, 2)[0] == 2
 
     def test_weighted_violation_names_first_in_table_order(self):
         g = WeightedZnGroup(WEIGHTED_13)

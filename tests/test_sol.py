@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from deadends.core import OutOfBox, Word
-from deadends.search import ResourceCap, ball
+from deadends.search import ClaimViolation, ResourceCap, ball
 from deadends.sol import (
+    BdiffReport,
     CapExceeded,
     HypMatrix,
     LaurentPoly,
@@ -18,7 +19,11 @@ from deadends.sol import (
     SolGroup,
     SupportVector,
     WreathZ2Z,
+    _extent,
+    _minimal_extents,
     _reps_at_length,
+    _support_search,
+    _sweep_length,
     abs_norm,
     apply_poly,
     bdiff_gap,
@@ -32,7 +37,6 @@ from deadends.sol import (
     minimal_reps,
     sol_inverse,
     sol_mul,
-    taubd_check,
     wreath_oracle,
 )
 
@@ -479,25 +483,90 @@ class TestAbsNorm:
             assert max(g for _e, d, _n, g in report.rows if d <= r) == 4
 
 
-class TestTaubd:
-    def test_vacuous_zero_vector(self):
-        rep = taubd_check((0, 0), R_FIX)
-        assert rep.vacuous and rep.d2 > 1
+def reference_extents(z, R, l_cap=24):
+    """Extents read off every minimal support that minimal_reps builds."""
+    return frozenset(_extent(v) for v in minimal_reps(z, R, l_cap))
 
-    def test_conjugated_basis(self):
-        rep = taubd_check((2, 1), R_FIX)
-        assert not rep.vacuous
-        assert rep.baseline_length == 1
-        assert rep.d2 == pytest.approx(1.000001)
-        assert rep.d1 == pytest.approx(2.9270534, rel=1e-5)
 
-    def test_fitted_constants_satisfy_every_sample(self):
-        rep = taubd_check((2, 1), R_FIX)
-        at = abs(eigen_geometry(R_FIX).tau)
-        assert rep.d1 > rep.d2 * math.log(at) / 4
-        for l_alt, m_alt, m_base in rep.samples:
-            dl = l_alt - rep.baseline_length
-            assert at ** (2 * m_base - 2 * m_alt) < rep.d1 * dl + rep.d2
+def reference_bdiff_gap(R, index, l_cap):
+    """bdiff_gap's report with each norm taken from the full minimal supports."""
+    rows, skipped = [], 0
+    for e, d in index.items_sorted():
+        try:
+            extents = reference_extents((e[0], e[1]), R, l_cap)
+        except CapExceeded:
+            skipped += 1
+            continue
+        norm = min(_sweep_length(t, -e[2]) for t in extents)
+        if norm < d:
+            raise ClaimViolation("reference norm %d below %d at %r" % (norm, d, e))
+        rows.append((e, d, norm, norm - d))
+    return BdiffReport(rows=tuple(rows), max_gap=max(r[3] for r in rows),
+                       elements_checked=len(rows), skipped=skipped)
+
+
+class TestMinimalExtents:
+    # The skewed matrix's window constant is 50, so its box stays small:
+    # |x|, |y| <= 4 already holds minimal lengths 0 to 5, while <= 12
+    # fills over four million reach entries.
+    @pytest.mark.parametrize("rows, box", [([[2, 1], [1, 1]], 12), (R_DETM1, 12),
+                                           (R_SKEW, 4)], ids=["fix", "detm1", "skew"])
+    def test_equal_the_extents_of_minimal_reps(self, rows, box):
+        R = HypMatrix(rows)
+        for z in itertools.product(range(-box, box + 1), repeat=2):
+            assert _minimal_extents(z, R, 24) == reference_extents(z, R), z
+
+    def test_cap_exceeded_exactly_where_minimal_reps_raises(self):
+        R = HypMatrix(R_FIX.rows)
+        for z in itertools.product(range(-6, 7), repeat=2):
+            for cap in range(5):
+                try:
+                    want = reference_extents(z, R, cap)
+                except CapExceeded:
+                    with pytest.raises(CapExceeded):
+                        _minimal_extents(z, R, cap)
+                else:
+                    assert _minimal_extents(z, R, cap) == want, (z, cap)
+
+    @pytest.mark.parametrize("rows, radius, l_cap, skipped", [
+        ([[2, 1], [1, 1]], 8, 3, 328), ([[2, 1], [1, 1]], 8, None, 0), (R_SKEW, 5, None, 0),
+    ], ids=["fix_r8_cap3", "fix_r8", "skew_r5"])
+    def test_bdiff_gap_matches_the_support_reference(self, rows, radius, l_cap, skipped):
+        R = HypMatrix(rows)
+        index = ball(SolGroup(R), radius)
+        report = bdiff_gap(R, index, l_cap)
+        assert report.skipped == skipped
+        assert report == reference_bdiff_gap(R, index, radius if l_cap is None else l_cap)
+
+    def test_extents_memo_counts_against_the_budget(self, monkeypatch):
+        z = (7, 3)
+        R = HypMatrix(R_FIX.rows)
+        want = _minimal_extents(z, R, 24)
+        search = R._support_search
+        reach, ext = len(search.reach_memo), len(search.extents_memo)
+        assert ext >= 2 and not search.reps_memo
+        # The reach entries alone fit in the budget; the extents push past it.
+        monkeypatch.setenv("DEADEND_BUDGET", str(reach + ext - 1))
+        R = HypMatrix(R_FIX.rows)
+        with pytest.raises(ResourceCap, match="support memo"):
+            _minimal_extents(z, R, 24)
+        assert len(R._support_search.reach_memo) < reach + ext - 1
+        monkeypatch.setenv("DEADEND_BUDGET", str(reach + ext))
+        assert _minimal_extents(z, HypMatrix(R_FIX.rows), 24) == want
+
+    @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, R_SKEW],
+                             ids=["fix", "detm1", "skew"])
+    def test_level_two_matches_the_unit_loop(self, rows):
+        search = _support_search(HypMatrix(rows))
+        unit = search._is_unit
+        for x, y in itertools.product(range(-12, 13), repeat=2):
+            N = search.window(x, y, 2)
+            table = search.strips(N)
+            for (_k, _c, _s, dx, dy), (qu, au, bu, ux, uy) in zip(table, search._form_steps[N]):
+                assert (ux, uy) == (dx, dy)
+                assert search._form(x, y) + qu - x * au - y * bu == search._form(x - dx, y - dy)
+            want = unit(x, y) or any(unit(x - dx, y - dy) for _k, _c, _s, dx, dy in table)
+            assert search.reach(x, y, 2) == want, (x, y)
 
 
 class TestExpansion:
