@@ -1,9 +1,14 @@
 """Generator alphabets, words over them, and the marked-group interface.
 
 A marked group is a group together with an ordered finite generating
-alphabet.  Elements are immutable values (normal-form tuples); the only
+alphabet.  Elements are immutable, hashable normal forms; the only
 required group operation is right multiplication by a single generator,
 which is all that breadth-first exploration of the Cayley graph needs.
+`MarkedGroup.neighbours` gives an element's right multiples by every
+letter at once, in canonical letter order; its default steps
+`apply_letter` once per letter, and a group with a closed form for the
+whole list overrides it, since the ball build makes one such call per
+element.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 # A letter is (generator index, sign), sign in {+1, -1}.
 Letter = tuple[int, int]
@@ -124,7 +129,9 @@ class MarkedGroup(ABC):
     """A group marked with a generating alphabet.
 
     Elements are hashable immutable normal forms: equal elements are equal
-    values, so an element is its own dictionary key.
+    values, so an element is its own dictionary key.  A subclass defines
+    identity and apply_letter; neighbours, all right multiples by single
+    letters, defaults to one apply_letter call per letter.
     """
 
     alphabet: GenAlphabet
@@ -137,6 +144,15 @@ class MarkedGroup(ABC):
     @abstractmethod
     def apply_letter(self, element: Any, letter: Letter) -> Any:
         """Right-multiply element by the generator (or inverse) named by letter."""
+
+    def neighbours(self, element: Any) -> Sequence[Any]:
+        """element times each letter, in canonical letter order.
+
+        Equals [apply_letter(element, lt) for lt, _w in weighted_letters],
+        which is the default; a group overrides it with a closed form.
+        """
+        step = self.apply_letter
+        return [step(element, lt) for lt, _w in self.weighted_letters]
 
     def letter_weight(self, letter: Letter) -> int:
         return 1

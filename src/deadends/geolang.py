@@ -359,7 +359,16 @@ def depth_bound_check(
 
 
 class FreeGroup(MarkedGroup):
-    """Free group on k letters; elements are reduced words as letter tuples."""
+    """Free group on k letters; elements are reduced words as strings.
+
+    Letter (i, s) is the character chr(48 + 2i + (s > 0)), and its inverse
+    is that code ^ 1; the identity is "".  A string caches its hash, so a
+    dict or set lookup hashes an element once, where a tuple of letter
+    tuples would hash every letter again on every lookup.  The code keeps
+    order: (i, -1) < (i, +1) < (i + 1, -1) as characters too, so strings
+    compare as their letter tuples do, and (distance, element) tie-breaks,
+    min and sorted pick the same words.
+    """
 
     def __init__(self, rank: int = 2, names: Optional[Sequence[str]] = None):
         if rank < 1:
@@ -370,26 +379,38 @@ class FreeGroup(MarkedGroup):
                 raise DeadendError("provide names for rank > 26")
             names = tuple(base[:rank])
         self.alphabet = GenAlphabet(tuple(names))
-        self._inverse = {lt: GenAlphabet.inverse(lt) for lt in self.alphabet.signed_letters()}
+        # letter -> (its character, its inverse's character), canonical order
+        self._code = {(i, s): (chr(48 + 2 * i + (s > 0)), chr(48 + 2 * i + (s < 0)))
+                      for i, s in self.alphabet.signed_letters()}
+        self._chars = [c for c, _inv in self._code.values()]
+        # last character -> position of the letter that cancels it
+        self._undo = {c: self._chars.index(inv) for c, inv in self._code.values()}
+        self._token = {c: self.alphabet.token(lt) for lt, (c, _inv) in self._code.items()}
 
     @property
-    def identity(self) -> tuple[Letter, ...]:
-        return ()
+    def identity(self) -> str:
+        return ""
 
     def apply_letter(self, element, letter: Letter):
         try:
-            inv = self._inverse[letter]
+            c, inv = self._code[letter]
         except KeyError:
             raise UnknownLetter("letter %r not in alphabet %r"
                                 % (letter, self.alphabet.names)) from None
-        if element and element[-1] == inv:
+        if element[-1:] == inv:
             return element[:-1]
-        return element + (letter,)
+        return element + c
+
+    def neighbours(self, element) -> list[str]:
+        out = [element + c for c in self._chars]
+        if element:
+            out[self._undo[element[-1]]] = element[:-1]
+        return out
 
     def render(self, element) -> str:
         if not element:
             return "e"
-        return " ".join(self.alphabet.token(lt) for lt in element)
+        return " ".join(self._token[c] for c in element)
 
 
 def free_reduced_dfa(rank: int = 2) -> Dfa:

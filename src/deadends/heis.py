@@ -59,6 +59,12 @@ class HeisenbergGroup(MarkedGroup):
 
     apply_letter = staticmethod(heis_step)
 
+    @staticmethod
+    def neighbours(e: HeisElement) -> tuple[HeisElement, ...]:
+        """Right multiples by a, a-, b, b-: heis_step in closed form."""
+        i, j, k = e
+        return ((i + 1, j, k - j), (i - 1, j, k + j), (i, j + 1, k), (i, j - 1, k))
+
     def render(self, element) -> str:
         return "(%d,%d,%d)" % element
 

@@ -20,10 +20,11 @@ A dead end of the index is an element at distance d < radius with no
 letter of the lightest weight w_min to a strictly farther indexed element
 (unweighted: no neighbour at distance d + 1).  Every other element with
 room for a step of w_min has depth exactly w_min, so only dead ends need
-a search.  The breadth-first build records them from the neighbours it
-computes anyway; any other index computes them on first use.  A scan
-still tests every letter lighter than min_depth on the dead ends it
-walks, so its exclusion stays exact.
+a search.  The breadth-first build takes all neighbours of an element in
+one group.neighbours call and records the dead ends from them; any other
+index computes them on first use.  A scan still tests every letter
+lighter than min_depth on the dead ends it walks, so its exclusion stays
+exact.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Callable, Iterable, Optional
 
 from .core import DeadendError, MarkedGroup
@@ -116,8 +117,7 @@ class BallIndex:
     def neighbors_in_ball(self, element):
         """(neighbor, letter weight) for neighbors that stayed inside the index."""
         g = self.group
-        for lt, w in g.weighted_letters:
-            n = g.apply_letter(element, lt)
+        for n, (_lt, w) in zip(g.neighbours(element), g.weighted_letters):
             if n in self.table:
                 yield n, w
 
@@ -151,11 +151,12 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
     tie-breaks, so the table insertion order never depends on hash seeds
     or threads.
 
-    The BFS records the dead ends as it goes: an element it expands climbs
-    when one of its neighbours is new or already sits in the layer being
-    built, which one setdefault per edge tells, and an element that
-    expands without climbing is a dead end.  That reuses the neighbours
-    the build computes, with no extra step.  A weighted ball leaves its
+    The BFS makes one group.neighbours call per element it expands and one
+    setdefault per edge.  It records the dead ends as it goes: an element
+    climbs when one of its neighbours is new or already sits in the layer
+    being built, which the setdefault tells, and an element that expands
+    without climbing is a dead end.  That reuses the neighbours the build
+    computes, with no extra step.  A weighted ball leaves its
     dead ends to BallIndex.dead_ends, which computes them on first use.
     """
     if radius < 0:
@@ -167,9 +168,8 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
     if not group.is_weighted:
         table = {ident: 0}
         spheres = {0: 1}
-        step = group.apply_letter
+        nbrs = group.neighbours
         put = table.setdefault
-        letters = [lt for lt, _w in group.weighted_letters]
         dead = {}
         frontier = [ident]
         dist = 0
@@ -178,9 +178,9 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
             size = len(table)
             for e in frontier:
                 climbs = False
-                for lt in letters:
+                for n in nbrs(e):
                     # a new neighbour, or one already found in this layer
-                    if put(step(e, lt), dist) == dist:
+                    if put(n, dist) == dist:
                         climbs = True
                 if not climbs:
                     dead[e] = dist - 1
@@ -291,46 +291,42 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
     full bound certifies depth > bound and raises ClaimViolation, while a
     miss at a smaller cap certifies nothing and the element is skipped.
 
-    Only dead ends and elements whose cap is below the lightest letter
-    weight w_min are searched.  The dead ends are index.dead_ends:
-    elements at distance < radius with no letter of weight w_min to a
-    strictly farther indexed element, recorded by the unweighted BFS and
-    computed on first use for any other index.  Any other element has a
-    letter of weight w_min to an indexed, strictly farther element; with
-    the cap >= w_min the search would meet that neighbour within its cap
-    and nothing nearer, so the depth is exactly w_min and the element is
-    certified without the search.
+    Only dead ends whose cap reaches the lightest letter weight w_min are
+    searched.  The dead ends are index.dead_ends: elements at distance <
+    radius with no letter of weight w_min to a strictly farther indexed
+    element, recorded by the unweighted BFS and computed on first use for
+    any other index.  Any other element has a letter of weight w_min to an
+    indexed, strictly farther element; with the cap >= w_min the search
+    would meet that neighbour within its cap and nothing nearer, so the
+    depth is exactly w_min and the element is certified without the
+    search.  A search with cap < w_min takes no step, since every letter
+    weighs at least w_min: it pops the element alone and misses.
 
-    With bound >= w_min those settled elements are the ones at distance
+    With bound >= w_min the settled elements are the ones at distance
     <= radius - w_min that are no dead ends, so the spheres count them and
     no loop visits them.  The searches cover the dead ends at those
-    distances, in table order, then the rim radius - w_min < d < radius,
-    which is the tail of the distance-ordered table before the radius
-    layer.  A violating element has nothing farther within its cap, and
-    only a cap >= w_min can equal the bound, so it is one of those dead
-    ends, and the first violator in table order is still the one
-    reported.  With bound < w_min every cap is below w_min, nothing
-    settles, and every element with room is searched.
+    distances, in table order.  Past them every cap is below w_min <=
+    bound, a miss that certifies nothing, so a violator is one of those
+    dead ends and the first violator in table order is the one reported.
+    With bound < w_min every search misses and certifies nothing, so the
+    first element in table order with room >= bound is the violator, and
+    with bound < 1 no element is searched at all.
     """
     group = index.group
     radius = index.radius
     w_min = _lightest_weight(group)
-    max_depth = checked = 0
     if bound < w_min:
-        searched = index.table.items()
-    else:
-        inner = radius - w_min
-        dead = [(e, d) for e, d in index.dead_ends.items() if d <= inner]
-        checked = sum(c for d, c in index.spheres.items() if d <= inner) - len(dead)
-        if checked:
-            max_depth = w_min
-        rim = sum(c for d, c in index.spheres.items() if inner < d < radius)
-        layer = index.spheres.get(radius, 0)
-        searched = chain(dead, islice(reversed(index.table.items()), layer, layer + rim))
-    for e, d0 in searched:
+        if bound >= 1:
+            for e, d0 in index.table.items():
+                if radius - d0 >= bound:
+                    raise ClaimViolation("element %s has depth > %d" % (group.render(e), bound))
+        return 0, 0
+    inner = radius - w_min
+    dead = [(e, d) for e, d in index.dead_ends.items() if d <= inner]
+    checked = sum(c for d, c in index.spheres.items() if d <= inner) - len(dead)
+    max_depth = w_min if checked else 0
+    for e, d0 in dead:
         cap = min(bound, radius - d0)
-        if cap < 1:
-            continue
         report = depth(group, e, index, cap)
         if report.exceeds_cap:
             if cap == bound:

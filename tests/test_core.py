@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from deadends.abelian import standard_zn
+from deadends.abelian import EuclideanGroup, EuclideanSpec, standard_zn
 from deadends.core import (
     GenAlphabet,
     UnknownLetter,
@@ -13,6 +13,7 @@ from deadends.core import (
 )
 from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup
+from deadends.search import ball
 from deadends.sol import SolGroup, WreathZ2Z
 
 AB = GenAlphabet(("a", "b"))
@@ -81,6 +82,24 @@ ALL_GROUPS = [
     SolGroup([[2, 1], [1, 1]]),
     WreathZ2Z(),
 ]
+
+
+class TestNeighbours:
+    # Z^2 extended by -I: a Euclidean group whose elements carry a matrix
+    PM_I = EuclideanGroup(EuclideanSpec(
+        2, (((1, 0), (0, 1)), ((-1, 0), (0, -1))),
+        (((1, 0), ((1, 0), (0, 1))), ((0, 1), ((1, 0), (0, 1))),
+         ((0, 0), ((-1, 0), (0, -1)))),
+        ("a", "b", "s")))
+
+    @pytest.mark.parametrize("g", ALL_GROUPS + [PM_I],
+                             ids=lambda g: type(g).__name__)
+    def test_match_apply_letter_in_letter_order(self, g):
+        index = ball(g, 4)
+        assert len(index) > 20
+        for e in index.table:
+            assert list(g.neighbours(e)) == [g.apply_letter(e, lt)
+                                             for lt, _w in g.weighted_letters]
 
 
 class TestEvaluate:

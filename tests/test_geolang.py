@@ -163,6 +163,16 @@ class TestVerify:
         assert report.counterexample_word is None
         assert report.counterexample_element is None
 
+    def test_builtin_f2_pinned_at_radius_8(self):
+        dfa, group = builtin_dfas()["f2_reduced"]
+        index = ball(group, 8)
+        report = verify_language(dfa, group, index)
+        assert report.sound and report.complete
+        assert (report.words_checked, report.elements_covered) == (13120, 13121)
+        assert report.counterexample_word is None
+        assert report.counterexample_element is None
+        assert depth_bound_check(dfa, group, index, report) == (1, 10)
+
     def test_builtin_z2(self):
         dfa, group = builtin_dfas()["z2_sorted"]
         index = ball(group, 6)
@@ -275,13 +285,40 @@ class TestFixtures:
     def test_free_group_reduces(self):
         g = FreeGroup(2)
         e = g.evaluate(Word.parse("a b b- a- a", g.alphabet))
-        assert e == ((0, 1),)
+        assert e == chr(48 + 2 * 0 + 1)  # the letter (0, +1), "a"
+        assert g.identity == ""
         assert g.render(g.identity) == "e"
 
     @pytest.mark.parametrize("letter", [(2, 1), (0, 2), (0, 0), (-1, 1)])
     def test_free_group_rejects_unknown_letter(self, letter):
+        g = FreeGroup(2)
         with pytest.raises(UnknownLetter):
-            FreeGroup(2).apply_letter(((0, 1),), letter)
+            g.apply_letter(g.evaluate(Word.parse("a", g.alphabet)), letter)
+
+    def test_free_group_strings_encode_letter_tuples(self):
+        # Each element decodes to a reduced word of (idx, sign) letters; the
+        # strings sort as those tuples do and render to their tokens.
+        g = FreeGroup(2)
+        index = ball(g, 6)
+        decoded = {e: tuple((i, 1 if b else -1) for i, b in (divmod(ord(c) - 48, 2) for c in e))
+                   for e in index.table}
+        assert len(set(decoded.values())) == len(index) == 1457
+        for e, word in decoded.items():
+            assert len(word) == index.distance(e)
+            assert Word(word).free_reduce() == Word(word)
+            assert g.evaluate(Word(word)) == e
+            assert g.render(e) == (" ".join(g.alphabet.token(lt) for lt in word) or "e")
+        assert sorted(index.table) == sorted(index.table, key=decoded.__getitem__)
+        assert g.render(g.evaluate(Word.parse("a b-", g.alphabet))) == "a b-"
+
+    def test_free_group_high_rank_with_names(self):
+        g = FreeGroup(30, names=["x%d" % i for i in range(30)])
+        index = ball(g, 2)
+        assert len(index) == 1 + 60 + 60 * 59
+        assert index.sphere_rows() == [(0, 1), (1, 60), (2, 60 * 59)]
+        w = Word.parse("x29- x0 x29", g.alphabet)
+        assert g.render(g.evaluate(w)) == "x29- x0 x29"
+        assert g.evaluate(w + w.inverse()) == g.identity
 
     def test_free_group_rank_bounds(self):
         with pytest.raises(DeadendError):

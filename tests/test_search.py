@@ -476,10 +476,10 @@ class TestCertifiedMaxDepth:
         assert certified_max_depth(idx, 3) == (3, 85)
         assert unsettled and calls == unsettled
 
-    def test_room_below_lightest_letter_is_searched(self, monkeypatch):
-        # Every letter weighs >= 2, so a room-1 element has cap 1 < 2: a
-        # farther neighbour across a weight-2 letter settles nothing there,
-        # and the element gets a full search that certifies nothing.
+    def test_room_below_lightest_letter_is_not_searched(self, monkeypatch):
+        # Every letter weighs >= 2, so a room-1 element has cap 1 < 2: its
+        # search could take no step and certify nothing, so it is skipped,
+        # and only the dead ends with room for a weight-2 step are searched.
         g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))))
         idx = ball(g, 7)
         table = idx.table
@@ -489,7 +489,24 @@ class TestCertifiedMaxDepth:
         expected = self._brute_force(g, idx, 3)
         calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, 3) == expected
-        assert rim and set(rim) <= set(calls)
+        assert rim and not set(rim) & set(calls)
+        assert calls == [e for e, d in idx.dead_ends.items() if d <= idx.radius - 2]
+
+    @pytest.mark.parametrize("bound", [-1, 0, 1])
+    def test_bound_below_lightest_letter_runs_no_search(self, monkeypatch, bound):
+        # With every letter weighing >= 2, a bound of 1 convicts the first
+        # element with room for it, and a bound below 1 certifies nothing.
+        g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))))
+        idx = ball(g, 7)
+        expected = self._walk_every_element(idx, bound)
+        calls = _record_searches(monkeypatch)
+        if bound < 1:
+            assert certified_max_depth(idx, bound) == expected == (0, 0)
+        else:
+            assert expected == "element (0,0) has depth > 1"
+            with pytest.raises(ClaimViolation, match="^%s$" % re.escape(expected)):
+                certified_max_depth(idx, bound)
+        assert calls == []
 
     @staticmethod
     def _walk_every_element(idx, bound):
