@@ -26,7 +26,6 @@ from .search import (
     ball,
     deadend_scan,
     depth,
-    distance,
 )
 
 __version__ = "0.1.0"
@@ -48,6 +47,5 @@ __all__ = [
     "ball",
     "deadend_scan",
     "depth",
-    "distance",
     "__version__",
 ]

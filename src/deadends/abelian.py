@@ -61,20 +61,6 @@ def _vec_neg(v: Vec) -> Vec:
     return tuple(-a for a in v)
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows
-        return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    raise UnsupportedRank("determinant only for n <= 3")
-
-
 @dataclass(frozen=True)
 class WeightedGenSet:
     """Generators of Z^n with positive integer weights."""
@@ -113,7 +99,7 @@ def _lattice_index(vecs: list[Vec], n: int) -> int:
     """gcd of all n x n minors; 1 iff the vectors generate Z^n."""
     g = 0
     for combo in itertools.combinations(vecs, n):
-        g = math.gcd(g, abs(_det(combo)))
+        g = math.gcd(g, abs(int(_row_reduce(combo)[2])))
         if g == 1:
             return 1
     return g
@@ -217,16 +203,21 @@ class ScaledPolytope:
         raise NotAFacet("no facet with functional %r" % (functional,))
 
 
-def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact reduced row echelon form over Q, and its pivot columns."""
+def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Exact reduced row echelon form over Q, its pivot columns, and the
+    determinant of rows when they form a square matrix (0 when singular)."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
+    det = Fraction(1)
     for col in range(len(m[0]) if m else 0):
         top = len(pivots)
         piv = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[top], m[piv] = m[piv], m[top]
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            det = -det
+        det *= m[top][col]
         inv = 1 / m[top][col]
         m[top] = [x * inv for x in m[top]]
         for r in range(len(m)):
@@ -234,13 +225,13 @@ def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], li
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[top])]
         pivots.append(col)
-    return m, pivots
+    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
 
 
 def _solve_functional(points: list[Vec]) -> Optional[tuple[Fraction, ...]]:
     """Rational a with a . p = 1 for each p, or None if the system is singular."""
     n = len(points)
-    m, pivots = _row_reduce([list(p) + [1] for p in points])
+    m, pivots, _ = _row_reduce([list(p) + [1] for p in points])
     if pivots != list(range(n)):
         return None
     return tuple(row[n] for row in m)
@@ -345,7 +336,7 @@ def _fan_triangulate(facet: Facet, n: int) -> list[tuple[Vec, ...]]:
     tris = []
     for i in range(len(ordered) - 1):
         tri = (v0, ordered[i], ordered[i + 1])
-        if _det([list(t) for t in tri]) != 0:
+        if _row_reduce(tri)[2] != 0:
             tris.append(tri)
     return tris
 
@@ -357,8 +348,8 @@ def _parallelepiped_points(basis: Sequence[Vec], n: int) -> list[Vec]:
         lo, hi = min(0, b), max(0, b)
         return [(x,) for x in range(lo, hi + 1)]
     # invert the basis matrix (columns are the generators)
-    mat, pivots = _row_reduce([[basis[j][r] for j in range(n)] + [int(r == c) for c in range(n)]
-                               for r in range(n)])
+    mat, pivots, _ = _row_reduce([[basis[j][r] for j in range(n)] + [int(r == c) for c in range(n)]
+                                  for r in range(n)])
     if pivots != list(range(n)):
         return []  # degenerate simplex contributes nothing
     # t_r = row_r . x lies in [0, 1] iff (scale_r row_r) . x lies in
@@ -444,7 +435,7 @@ class EuclideanSpec:
         if ident not in pg:
             raise NotEuclidean("point group must contain the identity")
         for p in pg:
-            if abs(round(_det([list(r) for r in p]))) != 1:
+            if abs(_row_reduce(p)[2]) != 1:
                 raise NotEuclidean("matrix %r does not preserve the lattice" % (p,))
             if not any(_mat_mul(p, q) == ident for q in pg):
                 raise NotEuclidean("matrix %r has no inverse in the set" % (p,))
@@ -500,11 +491,6 @@ class EuclideanGroup(MarkedGroup):
         v, m = self.spec.gens[idx] if s == 1 else self._inv[self.spec.gens[idx]]
         return (_vec_add(u, _mat_vec(p, v)), _mat_mul(p, m))
 
-    def _letter_mat(self, letter: Letter) -> Mat:
-        idx, s = letter
-        pair = self.spec.gens[idx] if s == 1 else self._inv[self.spec.gens[idx]]
-        return pair[1]
-
     def render(self, element) -> str:
         u, p = element
         return "(%s;%s)" % (",".join(map(str, u)),
@@ -523,26 +509,16 @@ def euclidean_reduce(spec: EuclideanSpec) -> WeightedGenSet:
     length.  Zero vectors are dropped; v and -v merge at the smaller
     weight since either generator reaches both.
     """
+    # cosets reachable from the generators; must be all of them, else the
+    # supplied point group overstates the extension actually generated
+    reached = len(coset_representatives(spec))
+    if reached != len(set(spec.point_group)):
+        raise NotGenerating("generators reach %d of %d point-group cosets"
+                            % (reached, len(spec.point_group)))
+
     group = EuclideanGroup(spec)
     ident_mat = _identity_mat(spec.n)
     letters = group.alphabet.signed_letters()
-
-    # cosets reachable from the generators; must be all of them, else the
-    # supplied point group overstates the extension actually generated
-    seen = {ident_mat}
-    frontier = [ident_mat]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for lt in letters:
-                q = _mat_mul(p, group._letter_mat(lt))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    if seen != set(spec.point_group):
-        raise NotGenerating("generators reach %d of %d point-group cosets"
-                            % (len(seen), len(spec.point_group)))
 
     weights: dict = {}
 

@@ -62,11 +62,6 @@ class GenAlphabet:
             raise UnknownLetter("letter %r not in alphabet %r" % (letter, self.names))
         return letter
 
-    @staticmethod
-    def inverse(letter: Letter) -> Letter:
-        i, s = letter
-        return (i, -s)
-
     def token(self, letter: Letter) -> str:
         i, s = self.check(letter)
         return self.names[i] if s == 1 else self.names[i] + "-"
@@ -179,12 +174,3 @@ class MarkedGroup(ABC):
     def word_weight(self, word: Word) -> int:
         return sum(self.letter_weight(lt) for lt in word.letters)
 
-
-def evaluate(group: MarkedGroup, word: Word) -> Any:
-    """Image of a word in the marked group."""
-    return group.evaluate(word)
-
-
-def word_inverse(word: Word) -> Word:
-    """Formal inverse: reverse the letters and flip every sign."""
-    return word.inverse()

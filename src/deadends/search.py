@@ -235,11 +235,6 @@ def _uniform_cost(group: MarkedGroup, start, cap, inside: Optional[dict] = None)
                 heappush(heap, (nd, n))
 
 
-def distance(group: MarkedGroup, element, index: BallIndex) -> int:
-    """Exact word-metric distance from the identity, read off the index."""
-    return index.distance(element)
-
-
 @dataclass(frozen=True)
 class DepthReport:
     """Depth of one element.  When exceeds_cap is set, depth is a lower

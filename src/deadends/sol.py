@@ -28,7 +28,7 @@ same strip recursion as the support enumeration but builds no supports.
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -828,6 +828,15 @@ def ll_length(v: SupportVector, z: int) -> int:
     return _sweep_length(_extent(v), z)
 
 
+def _lamp_slot(lamps, cur: int) -> tuple[int, int, tuple[int, int]]:
+    """(i, j, value): lamps[i:j] is the entry at position cur of the sorted
+    lamp tuple (empty, j = i, when unlit) and value its lamp, (0, 0) if unlit."""
+    i = bisect_left(lamps, (cur,))
+    if i < len(lamps) and lamps[i][0] == cur:
+        return i, i + 1, lamps[i][1]
+    return i, i, (0, 0)
+
+
 class WreathZ2Z(MarkedGroup):
     """Z^2 wr Z with cursor moves c and lamp increments a, b at the cursor.
 
@@ -847,19 +856,12 @@ class WreathZ2Z(MarkedGroup):
         idx, s = letter
         if idx == 2:
             return (lamps, cur + s)
-        d = dict(lamps)
-        va, vb = d.get(cur, (0, 0))
-        if idx == 0:
-            va += s
-        elif idx == 1:
-            vb += s
-        else:
+        if idx not in (0, 1):
             raise DeadendError("letter %r not a wreath generator" % (letter,))
-        if (va, vb) == (0, 0):
-            d.pop(cur, None)
-        else:
-            d[cur] = (va, vb)
-        return (tuple(sorted(d.items())), cur)
+        i, j, (va, vb) = _lamp_slot(lamps, cur)
+        nv = (va + s, vb) if idx == 0 else (va, vb + s)
+        lit = ((cur, nv),) if nv != (0, 0) else ()
+        return (lamps[:i] + lit + lamps[j:], cur)
 
     def render(self, e) -> str:
         lamps, cur = e
@@ -873,8 +875,7 @@ def wreath_oracle(v: SupportVector, z: int, r_cap: int = 64) -> int:
     Prunes keep every geodesic: lamp values move monotonically toward their
     targets and the cursor stays in the hull of {0, z} and the support.
     """
-    targets = {d: v.lamp(d) for d in v.degrees()}
-    goal_lamps = tuple(sorted(targets.items()))
+    goal_lamps = tuple(sorted((d, v.lamp(d)) for d in v.degrees()))
     top = v.top
     bot = v.bot
     hi = max(0, z, top if top is not None else 0)
@@ -883,40 +884,28 @@ def wreath_oracle(v: SupportVector, z: int, r_cap: int = 64) -> int:
     start = ((), 0)
     if start == goal:
         return 0
+    group = WreathZ2Z()
+    letters = group.alphabet.signed_letters()
     seen = {start}
-    frontier = deque([start])
+    frontier = [start]
     dist = 0
     while frontier:
         dist += 1
         if dist > r_cap:
             raise CapExceeded("wreath target beyond radius cap %d" % r_cap)
-        nxt: deque = deque()
-        while frontier:
-            lamps, cur = frontier.popleft()
-            moves = []
-            if cur < hi:
-                moves.append((lamps, cur + 1))
-            if cur > lo:
-                moves.append((lamps, cur - 1))
-            tgt = targets.get(cur, (0, 0))
-            have = dict(lamps).get(cur, (0, 0))
-            for comp in (0, 1):
-                want = tgt[comp]
-                cv = have[comp]
-                step = 0
-                if cv < want:
-                    step = 1
-                elif cv > want:
-                    step = -1
-                if step:
-                    d = dict(lamps)
-                    nv = (have[0] + step, have[1]) if comp == 0 else (have[0], have[1] + step)
-                    if nv == (0, 0):
-                        d.pop(cur, None)
-                    else:
-                        d[cur] = nv
-                    moves.append((tuple(sorted(d.items())), cur))
-            for m in moves:
+        nxt = []
+        for e in frontier:
+            lamps, cur = e
+            have = _lamp_slot(lamps, cur)[2]
+            want = _lamp_slot(goal_lamps, cur)[2]
+            for idx, s in letters:
+                if idx == 2:
+                    keep = lo <= cur + s <= hi
+                else:
+                    keep = s * (want[idx] - have[idx]) > 0
+                if not keep:
+                    continue
+                m = group.apply_letter(e, (idx, s))
                 if m in seen:
                     continue
                 if m == goal:
@@ -1248,14 +1237,6 @@ def distort_witness(zvec: Vec2, m: int, R: HypMatrix) -> Word:
 
 
 @dataclass(frozen=True)
-class FlatParams:
-    """Tunable constants for the flat-candidate window; c2 as in the
-    eigendistance comparison bound."""
-
-    c2: float = 1.0
-
-
-@dataclass(frozen=True)
 class FlatReport:
     """Window of x-axis integers K whose elements (K, 0; 0) defeat every
     distorted shortcut at scale (m, n).
@@ -1285,21 +1266,15 @@ class FlatReport:
         )
 
 
-def flat_candidates(
-    R: HypMatrix,
-    m: int,
-    n: int,
-    params: Optional[FlatParams] = None,
-) -> FlatReport:
+def flat_candidates(R: HypMatrix, m: int, n: int) -> FlatReport:
     """Integers K with L < K < B^m - L for L = ceil((2 c2 |tau|^n) * r + ...),
     so that (K, 0; 0) sits deep inside the box at eigendistance > thresholds.
+    The eigendistance comparison constant c2 is 1.
 
     Raises NoFeasibleK when the window closes (m too small for n).
     """
     if not isinstance(R, HypMatrix):
         R = HypMatrix(R)
-    if params is None:
-        params = FlatParams()
     eg = eigen_geometry(R)
     at = abs(eg.tau)
     B, _ = _base_relation(R)
@@ -1309,7 +1284,8 @@ def flat_candidates(
     dc_unit = max(eg.d_c((1, 0)), 1e-12)
     de_unit = max(eg.d_e((1, 0)), 1e-12)
     mind = min(dc_unit, de_unit)
-    grow = 2.0 * params.c2 * (at ** n)
+    c2 = 1.0
+    grow = 2.0 * c2 * (at ** n)
     # (K, 0) has eigendistances K * d_c(e1) and K * d_e(e1); we need both
     # above grow * maxd, plus an L-margin on each side of the box.
     ratio = maxd / mind
@@ -1338,7 +1314,7 @@ def flat_candidates(
         k_lo=k_lo,
         k_hi=k_hi,
         candidates=tuple(cands),
-        c2=params.c2,
+        c2=c2,
         dc_threshold=dc_threshold,
         de_threshold=de_threshold,
     )

@@ -1,6 +1,7 @@
 """Weighted lattices: polytope facets, geodesic rays, depth bounds, reductions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,19 @@ class TestWeightedGenSet:
     def test_json_round_trip(self):
         assert WeightedGenSet.from_json_obj(WS_WEIGHTED.to_json_obj()) == WS_WEIGHTED
 
+    def test_rank_4_builds(self):
+        assert standard_zn(4).ws.n == 4
+        ws = WeightedGenSet(4, (((1, 0, 0, 0), 1), ((0, 1, 0, 0), 2),
+                                ((0, 0, 1, 0), 2), ((1, 1, 1, 1), 3)))
+        assert weighted_distance(ws, (1, 1, 1, 1)) == 3
+        assert weighted_distance(ws, (0, 0, 0, 1)) == 8
+
+    def test_rank_4_index_two_sublattice_rejected(self):
+        # every vector has x0 + x1 even; the minors are 0 or +-2
+        with pytest.raises(NotGenerating):
+            WeightedGenSet(4, (((1, 1, 0, 0), 1), ((1, -1, 0, 0), 1), ((0, 0, 1, 0), 1),
+                               ((0, 0, 0, 1), 1), ((2, 0, 0, 0), 1)))
+
 
 class TestWeightedZnGroup:
     @pytest.mark.parametrize("letter", [(0, 2), (5, 1), (-1, 1)])
@@ -110,8 +124,9 @@ class TestPolytope:
         assert {f.vertices for f in poly.facets} == {((1,),), ((-1,),)}
 
     def test_rank_4_unsupported(self):
+        ws = standard_zn(4).ws
         with pytest.raises(UnsupportedRank):
-            build_polytope(standard_zn(4).ws)
+            build_polytope(ws)
 
     @pytest.mark.parametrize("ws", [standard_zn(2).ws, WS_WEIGHTED,
                                     standard_zn(3).ws])
@@ -133,7 +148,7 @@ class TestPolytope:
 
 class TestRowReduce:
     def test_rref_skips_zero_columns(self):
-        m, pivots = _row_reduce([(0, 2, 4), (0, 1, 3)])
+        m, pivots, _ = _row_reduce([(0, 2, 4), (0, 1, 3)])
         assert pivots == [1, 2]
         assert m == [[0, 1, 0], [0, 0, 1]]
 
@@ -142,6 +157,15 @@ class TestRowReduce:
         assert _rank([(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 3)]) == 2
         assert _rank([(0, 0)]) == 0
         assert _rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_determinant_matches_cofactor_expansion(self, n):
+        rng = random.Random(n)
+        mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(60)]
+        mats.append([[0] * n for _ in range(n)])
+        mats.append([[int(c == n - 1 - r) for c in range(n)] for r in range(n)])  # needs swaps
+        for m in mats:
+            assert _row_reduce(m)[2] == _cofactor_det(m), m
 
     def test_solve_functional(self):
         assert _solve_functional([(2, 0), (1, 4)]) == (Fraction(1, 2), Fraction(1, 8))
@@ -333,6 +357,13 @@ class TestEuclideanReduce:
         spec = EuclideanSpec(2, (I2, flip),
                              ((((1, 0), flip)), (((0, 1), I2))), ("g", "b"))
         with pytest.raises(NotEuclidean):
+            euclidean_reduce(spec)
+
+    def test_unreached_coset_rejected(self):
+        spec = EuclideanSpec(2, (I2, NEG_I2),
+                             ((((1, 0), I2)), (((0, 1), I2))), ("a", "b"))
+        with pytest.raises(NotGenerating,
+                           match="^generators reach 1 of 2 point-group cosets$"):
             euclidean_reduce(spec)
 
     def test_coset_representatives(self):

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deadends.abelian import EuclideanGroup, EuclideanSpec, standard_zn
-from deadends.core import (
-    GenAlphabet,
-    UnknownLetter,
-    Word,
-    evaluate,
-    word_inverse,
-)
+from deadends.core import GenAlphabet, UnknownLetter, Word
 from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup
 from deadends.search import ball
@@ -29,11 +23,6 @@ class TestGenAlphabet:
         for lt in AB.signed_letters():
             assert AB.letter(AB.token(lt)) == lt
         assert AB.token((0, 1)) == "a" and AB.token((1, -1)) == "b-"
-
-    def test_inverse_is_involution(self):
-        for lt in AB.signed_letters():
-            assert AB.inverse(AB.inverse(lt)) == lt
-            assert AB.inverse(lt) != lt
 
     def test_check_rejects_foreign_letters(self):
         with pytest.raises(UnknownLetter):
@@ -122,7 +111,7 @@ class TestEvaluate:
     def test_module_level_helpers(self):
         h = HeisenbergGroup()
         w = Word.parse("a b a-", h.alphabet)
-        assert evaluate(h, word_inverse(w)) == (0, -1, -1)
+        assert h.evaluate(w.inverse()) == (0, -1, -1)
 
     def test_unknown_letter_raises(self):
         h = HeisenbergGroup()

@@ -179,6 +179,13 @@ class TestVerify:
         report = verify_language(dfa, group, index)
         assert report.ok and report.elements_covered == 85
 
+    def test_sorted_z4(self):
+        group = standard_zn(4)
+        index = ball(group, 4)
+        report = verify_language(zn_sorted_dfa(4), group, index)
+        assert report.sound and report.complete
+        assert report.elements_covered == len(index) == 321
+
     def test_loop_dfa_convicted_by_revisit(self):
         group = standard_zn(2)
         index = ball(group, 4)

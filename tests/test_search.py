@@ -24,7 +24,6 @@ from deadends.search import (
     deadend_scan,
     depth,
     depth_transfer_check,
-    distance,
     function_depth,
     local_max_from_slack,
 )
@@ -196,18 +195,18 @@ class TestBall:
 
 class TestDistance:
     def test_identity(self, heis_ball22, heis_group):
-        assert distance(heis_group, heis_group.identity, heis_ball22) == 0
+        assert heis_ball22.distance(heis_group.identity) == 0
 
     def test_heis_ba(self, heis_ball22, heis_group):
-        assert distance(heis_group, (1, 1, -1), heis_ball22) == 2
+        assert heis_ball22.distance((1, 1, -1)) == 2
 
     def test_z2_l1(self):
         g = standard_zn(2)
-        assert distance(g, (3, 4), ball(g, 8)) == 7
+        assert ball(g, 8).distance((3, 4)) == 7
 
-    def test_not_in_ball(self, heis_ball22, heis_group):
+    def test_not_in_ball(self, heis_ball22):
         with pytest.raises(NotInBall):
-            distance(heis_group, (50, 0, 0), heis_ball22)
+            heis_ball22.distance((50, 0, 0))
 
     def test_symmetry_under_inversion(self):
         g = HeisenbergGroup()

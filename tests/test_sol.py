@@ -457,6 +457,16 @@ class TestLengthFormula:
             LaurentPoly.from_terms((p, lv[1]) for p, lv in lamps if lv[1]))
         assert wreath_oracle(v, cur) <= len(w)
 
+    def test_oracle_matches_ball_at_radius_6(self):
+        """The pruned search gives the full-ball distance of every element."""
+        index = ball(WreathZ2Z(), 6)
+        assert len(index) == 8113
+        for (lamps, cur), d in index.table.items():
+            v = SupportVector(
+                LaurentPoly.from_terms((p, lv[0]) for p, lv in lamps if lv[0]),
+                LaurentPoly.from_terms((p, lv[1]) for p, lv in lamps if lv[1]))
+            assert wreath_oracle(v, cur) == d, (lamps, cur)
+
 
 class TestAbsNorm:
     def test_identity(self):
