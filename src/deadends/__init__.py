@@ -23,6 +23,7 @@ from .search import (
     DepthReport,
     InsufficientRadius,
     ResourceCap,
+    SplitIndex,
     ball,
     deadend_scan,
     depth,
@@ -42,6 +43,7 @@ __all__ = [
     "MarkedGroup",
     "OutOfBox",
     "ResourceCap",
+    "SplitIndex",
     "UnknownLetter",
     "Word",
     "ball",

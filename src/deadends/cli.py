@@ -33,6 +33,7 @@ from .search import (
     BoundViolated,
     ClaimViolation,
     ResourceCap,
+    SplitIndex,
     ball,
     deadend_scan,
 )
@@ -172,10 +173,12 @@ def cmd_heis_family(
 ) -> int:
     """Distance/depth rows for the deep central elements, n = 3..n_max.
 
-    The ball reaches only the largest distance 4 n_max + 2; radius sets
-    each row's depth cap, radius - (4n + 2), as if the ball reached it.
-    A cap too small to certify a row's bound raises InsufficientRadius
-    (exit 2) before any file is written.
+    Distances are exact out to top = min(radius, 4 n_max + 2), the largest
+    distance asked for, from the ball B(top - r1) and its sphere S(r1) with
+    r1 = min(4, top // 2) (a SplitIndex); radius sets each row's depth cap,
+    radius - (4n + 2), as if a ball reached it.  A cap too small to
+    certify a row's bound raises InsufficientRadius (exit 2) before any
+    file is written.
     """
     header = ("n", "distance", "depth_bound", "bfs_depth")
     rows: list[tuple[int, int, int, str]] = []
@@ -184,7 +187,9 @@ def cmd_heis_family(
         if radius is None:
             radius = 4 * n_max + 2 + _depth_bound_ceil(n_max) + 1
         meta["radius"] = radius
-        index = ball(HeisenbergGroup(), min(radius, 4 * n_max + 2))
+        top = min(radius, 4 * n_max + 2)
+        r1 = min(4, top // 2)
+        index = SplitIndex(ball(HeisenbergGroup(), top - r1), r1)
         for n in range(3, n_max + 1):
             row = heis_family(n, index, cap=radius - (4 * n + 2))
             rows.append((row.n, row.distance, row.depth_lower_bound,

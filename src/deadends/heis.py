@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, OutOfBox, Word
-from .search import BallIndex, ClaimViolation, InsufficientRadius, depth
+from .search import BallIndex, ClaimViolation, DepthReport, InsufficientRadius, SplitIndex, depth
 
 HeisElement = tuple[int, int, int]
 
@@ -230,14 +230,15 @@ def rederived_depth_bound(n: int) -> int:
     return m + 1
 
 
-def heis_family(n: int, index: BallIndex, cap: Optional[int] = None) -> HeisFamilyRow:
+def heis_family(n: int, index: BallIndex | SplitIndex, cap: Optional[int] = None) -> HeisFamilyRow:
     """Check the n-th deep element against the oracle.
 
     Asserts distance 4n + 2 exactly and depth at least the integer bound;
     also re-derives a depth lower bound from the witness words alone.
     Raises ClaimViolation if the oracle contradicts either claim.  A search
-    that finds nothing farther within the cap certifies only depth >= cap + 1;
-    when that falls short of either bound, raises InsufficientRadius.
+    that finds nothing farther within the cap certifies only depth >= cap + 1,
+    and a cap below 1 runs no search and certifies depth >= 1; when that
+    falls short of either bound, raises InsufficientRadius.
     """
     if n <= 2:
         raise OutOfBox("family defined for n > 2")
@@ -248,7 +249,8 @@ def heis_family(n: int, index: BallIndex, cap: Optional[int] = None) -> HeisFami
                              % (index.group.render(g), d, 4 * n + 2))
     if cap is None:
         cap = index.radius - d
-    report = depth(index.group, g, index, cap)
+    report = (depth(index.group, g, index, cap) if cap >= 1
+              else DepthReport(g, d, 1, None, exceeds_cap=True))
     bound = _depth_bound_ceil(n)
     rederived = rederived_depth_bound(n)
     need = max(bound, rederived)

@@ -25,6 +25,20 @@ one group.neighbours call and records the dead ends from them; any other
 index computes them on first use.  A scan still tests every letter
 lighter than min_depth on the dead ends it walks, so its exclusion stays
 exact.
+
+A split index answers exact distances past its ball.  With unit letter
+weights and |h| >= r1, every geodesic to h ends in a suffix of length r1,
+whose element u lies on the sphere S(r1); the triangle inequality bounds
+every other choice, and S(r1) is closed under inverse, so
+
+    |h| = r1 + min over v in S(r1) of |h v|.
+
+Given the ball B(r2) with r1 <= r2, the minimum is read off the table
+whenever it is at most r2, which gives |h| exactly up to r1 + r2 and
+"farther than r1 + r2" past it.  Only an element outside B(r2), hence
+with |h| > r2 >= r1, walks the sphere words.  A weighted geodesic can
+step over the sphere, so a weighted group is refused.  depth reads
+distances through index.get and so runs unchanged on either index.
 """
 
 from __future__ import annotations
@@ -102,10 +116,15 @@ class BallIndex:
         return element in self.table
 
     def distance(self, element) -> int:
-        d = self.table.get(element)
-        if d is None:
-            raise NotInBall("element %s not within radius %d" % (self.group.render(element), self.radius))
-        return d
+        return _distance(self, element)
+
+    @property
+    def get(self) -> Callable:
+        """get(element, default): the distance, or default outside the ball.
+
+        The table's own get, so a depth search pays no extra call per lookup.
+        """
+        return self.table.get
 
     def elements(self) -> Iterable:
         return iter(self.table)
@@ -209,6 +228,74 @@ def ball(group: MarkedGroup, radius: int, budget: Optional[int] = None) -> BallI
     return BallIndex(group, radius, table, spheres)
 
 
+def _distance(index, element) -> int:
+    d = index.get(element)
+    if d is None:
+        raise NotInBall("element %s not within radius %d" % (index.group.render(element), index.radius))
+    return d
+
+
+class SplitIndex:
+    """Exact distances out to r1 + r2 from the ball B(r2) and its sphere S(r1).
+
+    Past the ball, |h| = r1 + min |h v| over v in S(r1) (module docstring).
+    Geodesic words for S(r1), read off the table by descent, share
+    prefixes: one tree of (parent slot, letter) nodes, the sphere last,
+    which a query steps through once per node.  Needs unit letter weights
+    and 0 <= r1 <= r2; the |S(r1)| words count against the element budget.
+    """
+
+    def __init__(self, index: BallIndex, r1: int):
+        group = index.group
+        if group.is_weighted:
+            raise HypothesisViolated("split distance needs unit letter weights")
+        if not 0 <= r1 <= index.radius:
+            raise HypothesisViolated("split needs 0 <= r1 <= %d, got r1=%d" % (index.radius, r1))
+        budget = default_budget()
+        if len(index) + index.spheres.get(r1, 0) > budget:
+            raise ResourceCap("split(r1=%d) over ball(radius=%d) exceeds element budget %d"
+                              % (r1, index.radius, budget))
+        self.group = group
+        self.index = index
+        self.r1 = r1
+        self.radius = r1 + index.radius
+        table = index.table
+        letters = [lt for lt, _w in group.weighted_letters]
+        levels = [[v for v, d in table.items() if d == r1]]
+        parent = {}
+        for d in range(r1, 0, -1):
+            up = {}
+            for v in levels[-1]:
+                for (i, s), n in zip(letters, group.neighbours(v)):
+                    if table.get(n) == d - 1:
+                        parent[v] = (n, (i, -s))  # v = n (i, -s)
+                        up[n] = None
+                        break
+                else:
+                    raise ClaimViolation("no neighbour of %s one step nearer" % group.render(v))
+            levels.append(list(up))
+        nodes = [v for level in reversed(levels) for v in level]
+        slot = {v: k for k, v in enumerate(nodes)}
+        self.tree = [(slot[parent[v][0]], parent[v][1]) for v in nodes[1:]]
+        self.first = len(nodes) - len(levels[0])  # slot of the first sphere node
+
+    def distance(self, element) -> int:
+        return _distance(self, element)
+
+    def get(self, element, default=None):
+        """The distance of element, or default when it lies past radius."""
+        table = self.index.table
+        d = table.get(element)
+        if d is not None:
+            return d
+        step = self.group.apply_letter
+        at = [element]
+        for p, lt in self.tree:
+            at.append(step(at[p], lt))
+        near = [d for d in map(table.get, at[self.first:]) if d is not None]
+        return self.r1 + min(near) if near else default
+
+
 def _uniform_cost(group: MarkedGroup, start, cap, inside: Optional[dict] = None):
     """Yield (distance, element) for everything within cap of start.
 
@@ -257,11 +344,16 @@ class DepthReport:
         }
 
 
-def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthReport:
+def depth(group: MarkedGroup, element, index: BallIndex | SplitIndex, cap: int) -> DepthReport:
     """Distance from element to the nearest strictly-farther element.
 
+    index is any exact distance oracle: a BallIndex, or a SplitIndex whose
+    ball B(r2) and sphere S(r1), with unit weights and r1 <= r2, answer
+    exactly up to radius r1 + r2.  Distances are read through index.get,
+    which gives the default past index.radius, so both share this loop.
+
     Needs only d0 = d(1,element) <= index.radius, and any cap >= 1.  The
-    search is not confined to the table: an element outside it lies
+    search is not confined to the oracle's reach: an element past it lies
     farther than index.radius >= d0, so it counts as farther.  Every
     element expanded before the first farther one is popped lies in B(d0),
     so the search holds at most (1 + #letters) * |B(d0)| nodes, and the
@@ -270,10 +362,10 @@ def depth(group: MarkedGroup, element, index: BallIndex, cap: int) -> DepthRepor
     if cap < 1:
         raise DeadendError("cap must be >= 1")
     d0 = index.distance(element)
-    table = index.table
+    get = index.get
     outside = index.radius + 1
     for d, witness in _uniform_cost(index.group, element, cap):
-        if table.get(witness, outside) > d0:
+        if get(witness, outside) > d0:
             return DepthReport(element, d0, d, witness)
     return DepthReport(element, d0, cap + 1, None, exceeds_cap=True)
 

@@ -11,7 +11,7 @@ import pytest
 from deadends.cli import _depth_cell, main
 from deadends.geolang import zn_sorted_dfa
 from deadends.heis import HeisenbergGroup, heis_family
-from deadends.search import ball
+from deadends.search import InsufficientRadius, ball
 
 HEIS = {"kind": "heisenberg"}
 SOL = {"kind": "sol", "R": [[2, 1], [1, 1]]}
@@ -25,6 +25,11 @@ EUC = {"kind": "euclidean", "n": 2,
                 {"v": [0, 0], "mat": [[-1, 0], [0, -1]]}],
        "names": ["a", "b", "s"]}
 WREATH = {"kind": "wreath_z2_z"}
+
+
+@pytest.fixture(scope="module")
+def heis_ball26():
+    return ball(HeisenbergGroup(), 26)  # 4 n_max + 2 at n_max 6
 
 
 @pytest.fixture
@@ -124,8 +129,9 @@ class TestHeisFamily:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_rows_match_the_full_radius_ball(self, tmp_path, extra):
-        # the CLI builds the ball only to 4 n_max + 2 = 18; its rows must
-        # equal those read off a ball built to the full radius
+        # the CLI reads distances only to 4 n_max + 2 = 18, from a split
+        # over B(14) and S(4); its rows must equal those read off a ball
+        # built to the full radius
         radius = 22 + extra
         argv = ["heis-family", "--n-max", "4", "--out", str(tmp_path),
                 "--format", "json"]
@@ -143,6 +149,34 @@ class TestHeisFamily:
         payload = json.loads((tmp_path / "heis_family.json").read_text())
         assert payload["meta"] == {"n_max": 4, "radius": radius}
 
+    @pytest.mark.parametrize("radius", [None, 26, 27, 40], ids=["default", "26", "27", "40"])
+    def test_n6_rows_match_the_full_ball(self, tmp_path, capsys, heis_ball26, radius):
+        # the CLI reads distances from a split over B(22) and S(4); its CSV,
+        # exit code and stderr must equal those of the full ball B(26)
+        # (radius 26 gives n=6 a cap of 0)
+        argv = ["heis-family", "--n-max", "6", "--out", str(tmp_path)]
+        if radius is None:
+            radius = 31  # 4*6 + 2 + ceil(sqrt(8) + 1) + 1
+        else:
+            argv += ["--radius", str(radius)]
+        expected = ["n,distance,depth_bound,bfs_depth"]
+        code, err = 0, ""
+        try:
+            for n in range(3, 7):
+                row = heis_family(n, heis_ball26, cap=radius - (4 * n + 2))
+                expected.append("%d,%d,%d,%s" % (
+                    n, row.distance, row.depth_lower_bound,
+                    _depth_cell(row.bfs_depth, row.bfs_depth_exceeds_cap)))
+        except InsufficientRadius as exc:
+            code, err = 2, "error: %s\n" % exc
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        csv_path = tmp_path / "heis_family.csv"
+        if code:
+            assert not csv_path.exists()
+        else:
+            assert lines_of(csv_path) == expected
+
     def test_radius_short_of_the_bound_exits_2(self, tmp_path, capsys):
         # cap 27 - 26 = 1 for n=6 certifies only depth >= 2, below bound 4
         assert main(["heis-family", "--n-max", "6", "--radius", "27",
@@ -150,6 +184,12 @@ class TestHeisFamily:
         err = capsys.readouterr().err
         assert err.startswith("error: n=6")
         assert "capped at 1" in err and "radius >= 29" in err
+        assert not (tmp_path / "heis_family.csv").exists()
+
+    def test_radius_short_of_the_distance_exits_2(self, tmp_path, capsys):
+        assert main(["heis-family", "--n-max", "6", "--radius", "20",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: element (0,0,26) not within radius 20\n"
         assert not (tmp_path / "heis_family.csv").exists()
 
     def test_default_radius_csv_pinned(self, tmp_path):

@@ -1,9 +1,12 @@
 """Heisenberg normal forms, witness words, and the deep-element family."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from deadends import heis
 from deadends.core import OutOfBox, Word
 from deadends.heis import (
     _SYMMETRIES,
@@ -18,7 +21,7 @@ from deadends.heis import (
     rederived_depth_bound,
     word_area_normal,
 )
-from deadends.search import BallIndex, ClaimViolation, InsufficientRadius, ball
+from deadends.search import BallIndex, ClaimViolation, InsufficientRadius, SplitIndex, ball
 
 A, B = (0, 1), (1, 1)
 
@@ -148,6 +151,13 @@ class TestFamily:
         # cap 1 finds nothing farther, so it certifies only depth >= 2 < 4
         with pytest.raises(InsufficientRadius, match="n=6.*capped at 1.*radius >= 29"):
             heis_family(6, ball(heis_group, 26), cap=1)
+
+    def test_cap_zero_is_insufficient_radius_without_a_search(self, heis_group, monkeypatch):
+        monkeypatch.setattr(heis, "depth", None)  # any call would fail
+        with pytest.raises(InsufficientRadius, match=re.escape(
+                "n=6: depth search capped at 0 certifies only depth >= 1, "
+                "below bound 4; need radius >= 29")):
+            heis_family(6, SplitIndex(ball(heis_group, 22), 4), cap=0)
 
     def test_witness_inside_a_short_cap_still_convicts(self, heis_group):
         # a doctored table puts a neighbour of (0,0,10) farther out, so the

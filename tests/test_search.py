@@ -18,6 +18,7 @@ from deadends.search import (
     InsufficientRadius,
     NotInBall,
     ResourceCap,
+    SplitIndex,
     TransferRow,
     ball,
     certified_max_depth,
@@ -269,6 +270,64 @@ class TestDepth:
     def test_exceeds_cap_flagged(self, heis_group, heis_ball22):
         rep = depth(heis_group, (0, 0, 5), heis_ball22, cap=3)
         assert rep.exceeds_cap and rep.depth == 4 and rep.witness is None
+
+
+class TestSplitIndex:
+    # on all of B(R + 2) the split over B(R - r1) and S(r1) must give the
+    # full-ball distance, and None past R
+    @pytest.mark.parametrize("make, R, r1", [
+        (HeisenbergGroup, 14, 1),
+        (HeisenbergGroup, 14, 2),
+        (HeisenbergGroup, 14, 4),
+        (lambda: FreeGroup(2), 6, 1),
+        (lambda: FreeGroup(2), 6, 2),
+        (lambda: FreeGroup(2), 6, 3),
+        (WreathZ2Z, 5, 1),
+        (WreathZ2Z, 5, 2),
+        (lambda: SolGroup(HypMatrix([[2, 1], [1, 1]])), 8, 1),
+        (lambda: SolGroup(HypMatrix([[2, 1], [1, 1]])), 8, 2),
+    ], ids=["heis-1", "heis-2", "heis-4", "free2-1", "free2-2", "free2-3",
+            "wreath-1", "wreath-2", "sol-1", "sol-2"])
+    def test_exact_up_to_its_radius(self, make, R, r1):
+        g = make()
+        full = ball(g, R + 2)
+        split = SplitIndex(ball(g, R - r1), r1)
+        assert split.radius == R
+        for e, d in full.table.items():
+            assert split.get(e) == (d if d <= R else None), g.render(e)
+        with pytest.raises(NotInBall, match="within radius %d" % R):
+            split.distance(next(e for e, d in full.table.items() if d > R))
+
+    def test_depth_through_the_split_equals_the_ball(self, heis_group):
+        full = ball(heis_group, 14)
+        split = SplitIndex(ball(heis_group, 10), 4)
+        sphere = [e for e, d in full.table.items() if d == 12]
+        assert sphere
+        for e in sphere:
+            assert depth(heis_group, e, split, 2) == depth(heis_group, e, full, 2)
+
+    def test_r1_zero_is_the_plain_ball(self, heis_group):
+        index = ball(heis_group, 6)
+        split = SplitIndex(index, 0)
+        assert split.radius == 6
+        assert all(split.get(e) == index.get(e)
+                   for e in ball(heis_group, 8).elements())
+
+    def test_refuses_a_weighted_group(self):
+        with pytest.raises(HypothesisViolated, match="unit letter weights"):
+            SplitIndex(ball(WeightedZnGroup(WEIGHTED_13), 6), 1)
+
+    def test_refuses_r1_past_the_ball(self, heis_group):
+        with pytest.raises(HypothesisViolated, match="r1=5"):
+            SplitIndex(ball(heis_group, 4), 5)
+
+    def test_sphere_words_count_against_the_budget(self, heis_group, monkeypatch):
+        index = ball(heis_group, 6)  # S(4) has 82 elements
+        monkeypatch.setenv("DEADEND_BUDGET", str(len(index) + 81))
+        with pytest.raises(ResourceCap, match="exceeds element budget"):
+            SplitIndex(index, 4)
+        monkeypatch.setenv("DEADEND_BUDGET", str(len(index) + 82))
+        assert SplitIndex(index, 4).radius == 10
 
 
 class TestDeadendScan:
