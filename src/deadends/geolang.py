@@ -200,18 +200,29 @@ def _suffix_to_accept(dfa: Dfa, alive: set[int]) -> dict[int, Word]:
 def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyReport:
     """Certify the accepted language as geodesic and onto, up to the radius.
 
-    Runs breadth-first search on the product of the trimmed automaton and
-    the Cayley graph.  Soundness fails if an accepted word is longer than
-    its element's distance; since trimming leaves only states that extend
-    to acceptance, any arrival at an already-seen product state at a larger
-    depth also convicts (the extension is a non-geodesic accepted word).
-    Completeness fails if some ball element is never realized at its exact
-    distance by an accepted word.
+    Runs a layered search on the product of the trimmed automaton and the
+    Cayley graph.  Layer d maps each element to the bit mask of the live
+    states that reach it by a word of length d, kept only where d is the
+    element's distance.  Soundness fails if a move reaches an element
+    whose distance is not its depth: trimming leaves only states that
+    extend to acceptance, so the extension is a non-geodesic accepted
+    word.  Completeness fails if some ball element is never realized at
+    its exact distance by an accepted word.
 
-    The search walks only live moves: once per call, each co-accessible
-    state gets its list of (letter, next state) moves into co-accessible
-    states, in canonical letter order, and the product search runs over
-    that table instead of stepping the automaton on every edge.
+    A word reaches an element only at a depth at least its distance, so a
+    product state reached again at a larger depth lands on an element
+    whose distance is not that depth, and the distance check convicts it;
+    no revisit test is needed.  Each element sits in the layer of its own
+    distance only, so the search keeps at most one mask per ball element
+    and its memory is bounded by the ball.  Per element it makes one
+    group.neighbours call, and per live move (letter position, next-state
+    bit) of each state in the mask one table lookup.
+
+    The counterexample word is rebuilt from the first failing move: walk
+    back through the kept layers through the inverse letter, trying
+    letters in canonical order and then the lowest state, then append the
+    failing letter and the shortest suffix to acceptance.  The uncovered
+    element reported is the least by (distance, element).
 
     Refuses a weighted group: the pumping bound is stated for word length,
     and a word's length is not its weight.
@@ -223,80 +234,63 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
             % (type(group).__name__, sorted({w for _lt, w in group.weighted_letters})))
     alive = _co_accessible(dfa)
     suffixes = _suffix_to_accept(dfa, alive)
-    letters = dfa.alphabet.signed_letters()
-    moves = {s: [(lt, s2) for lt in letters if (s2 := dfa.step(s, lt)) in alive]
-             for s in alive}
+    letters = group.alphabet.signed_letters()  # neighbours() order
+    position = {lt: i for i, lt in enumerate(letters)}
+    # state -> [(letter position, next-state bit)], lowest state first
+    moves = {s: [(position[group.alphabet.check(lt)], 1 << s2)
+                 for lt in dfa.alphabet.signed_letters() if (s2 := dfa.step(s, lt)) in alive]
+             for s in sorted(alive)}
+    accept_bits = sum(1 << s for s in dfa.accept)
     table = index.table
-    counter_word: Optional[Word] = None
-    counter_elem: Optional[str] = None
-    sound = True
+    get = table.get
+    neighbours = group.neighbours
+    # layers[d]: element at distance d -> mask of the states reaching it at depth d
+    layers: list[dict] = [{group.identity: 1 << dfa.start} if dfa.start in alive else {}]
+    # (depth, element, state, letter position, next-state bit) of the first failing move
+    failure: Optional[tuple[int, Any, int, int, int]] = None
     words_checked = 0
-    covered: set = set()
-    if dfa.start in alive:
-        start = (dfa.start, group.identity)
-        # product state -> (BFS depth, parent state, letter from the parent)
-        seen: dict[tuple[int, Any], tuple[int, Optional[tuple], Optional[Letter]]] = {
-            start: (0, None, None)
-        }
-
-        def word_to(node: tuple) -> Word:
-            letters: list[Letter] = []
-            cur: Optional[tuple] = node
-            while cur is not None:
-                _d, parent, lt = seen[cur]
-                if lt is not None:
-                    letters.append(lt)
-                cur = parent
-            return Word(tuple(reversed(letters)))
-
-        if dfa.start in dfa.accept:
-            covered.add(group.identity)
-        step = group.apply_letter
-        accept = dfa.accept
-        frontier: list[tuple] = [start]
-        d = 0
-        while frontier and d < index.radius:
-            d += 1
-            grow = d < index.radius  # the radius layer is checked, never expanded
-            nxt: list[tuple] = []
-            for node in frontier:
-                s, e = node
+    for d in range(1, index.radius + 1):
+        nxt: dict = {}
+        for e, mask in layers[-1].items():
+            nbrs = neighbours(e)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                s = low.bit_length() - 1
                 live = moves[s]
                 words_checked += len(live)
-                for lt, s2 in live:
-                    e2 = step(e, lt)
-                    key2 = (s2, e2)
-                    try:
-                        dist = table[e2]
-                    except KeyError:  # words can't outrun the ball
-                        dist = index.distance(e2)  # raises NotInBall
-                    entry = (d, node, lt)
-                    prev = seen.setdefault(key2, entry)  # entry itself iff key2 is new
-                    if prev is not entry:
-                        if prev[0] < d and sound:
-                            sound = False
-                            counter_word = word_to(node) + Word((lt,)) + suffixes[s2]
-                        continue
-                    if dist != d:
-                        if sound:
-                            sound = False
-                            counter_word = word_to(key2) + suffixes[s2]
-                        continue
-                    if s2 in accept:
-                        covered.add(e2)
-                    if grow:
-                        nxt.append(key2)
-            frontier = nxt
-    complete = len(covered) == len(table)
+                for pos, bit in live:
+                    e2 = nbrs[pos]
+                    dist = get(e2)
+                    if dist == d:
+                        nxt[e2] = nxt.get(e2, 0) | bit
+                    elif dist is None:  # words can't outrun the ball
+                        index.distance(e2)  # raises NotInBall
+                    elif failure is None:
+                        failure = (d - 1, e, s, pos, bit)
+        layers.append(nxt)
+    counter_word: Optional[Word] = None
+    if failure is not None:
+        d, e, s, pos, bit = failure
+        tail = [letters[pos]]
+        for layer in reversed(layers[:d]):
+            e, s, lt = next((e0, p, lt) for lt in letters
+                            if (e0 := group.apply_letter(e, (lt[0], -lt[1]))) in layer
+                            for p in moves if layer[e0] >> p & 1 and dfa.step(p, lt) == s)
+            tail.append(lt)
+        counter_word = Word(tuple(reversed(tail))) + suffixes[bit.bit_length() - 1]
+    covered = sum(1 for layer in layers for mask in layer.values() if mask & accept_bits)
+    complete = covered == len(table)
+    counter_elem: Optional[str] = None
     if not complete:
-        counter_elem = group.render(
-            min((d, e) for e, d in table.items() if e not in covered)[1])
+        counter_elem = group.render(min(
+            (d, e) for e, d in table.items() if not (layers[d].get(e, 0) & accept_bits))[1])
     return VerifyReport(
-        sound=sound,
+        sound=failure is None,
         complete=complete,
         radius=index.radius,
         words_checked=words_checked,
-        elements_covered=len(covered),
+        elements_covered=covered,
         counterexample_word=counter_word,
         counterexample_element=counter_elem,
         dfa=dfa,

@@ -1,5 +1,8 @@
 """Geodesic automata: verification, pumping, and the depth cap."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,8 @@ from deadends.geolang import (
     FreeGroup,
     SoundnessUnverified,
     TooShort,
+    _co_accessible,
+    _suffix_to_accept,
     builtin_dfas,
     depth_bound_check,
     dfa_accepts,
@@ -80,6 +85,88 @@ def nonempty_sorted_dfa():
     """The sorted Z^2 geodesics without the empty word: misses only (0,0)."""
     dfa = zn_sorted_dfa(2)
     return Dfa(dfa.n_states, dfa.start, dfa.accept - {dfa.start}, dfa.trans, dfa.alphabet)
+
+
+def reference_verify(dfa, group, index):
+    """The product-table search verify_language replaced, kept as an oracle.
+
+    Breadth-first search over (state, element) pairs with a parent table;
+    a revisit at a larger depth convicts.  Returns (sound, complete,
+    words_checked, elements_covered, counterexample_word,
+    counterexample_element).
+    """
+    alive = _co_accessible(dfa)
+    suffixes = _suffix_to_accept(dfa, alive)
+    moves = {s: [(lt, s2) for lt in dfa.alphabet.signed_letters()
+                 if (s2 := dfa.step(s, lt)) in alive] for s in alive}
+    table = index.table
+    sound, words_checked, counter_word, covered = True, 0, None, set()
+    if dfa.start in alive:
+        start = (dfa.start, group.identity)
+        seen = {start: (0, None, None)}  # product state -> (depth, parent, letter)
+
+        def word_to(node):
+            out = []
+            while node is not None:
+                _d, node, lt = seen[node]
+                if lt is not None:
+                    out.append(lt)
+            return Word(tuple(reversed(out)))
+
+        if dfa.start in dfa.accept:
+            covered.add(group.identity)
+        frontier = [start]
+        for d in range(1, index.radius + 1):
+            nxt = []
+            for node in frontier:
+                s, e = node
+                words_checked += len(moves[s])
+                for lt, s2 in moves[s]:
+                    e2 = group.apply_letter(e, lt)
+                    key2 = (s2, e2)
+                    dist = index.distance(e2)
+                    if key2 in seen:
+                        if seen[key2][0] < d and sound:
+                            sound = False
+                            counter_word = word_to(node) + Word((lt,)) + suffixes[s2]
+                        continue
+                    seen[key2] = (d, node, lt)
+                    if dist != d:
+                        if sound:
+                            sound = False
+                            counter_word = word_to(key2) + suffixes[s2]
+                        continue
+                    if s2 in dfa.accept:
+                        covered.add(e2)
+                    nxt.append(key2)
+            frontier = nxt
+    uncovered = [(d, e) for e, d in table.items() if e not in covered]
+    element = group.render(min(uncovered)[1]) if uncovered else None
+    return (sound, not uncovered, words_checked, len(covered), counter_word, element)
+
+
+def random_dfa(rng, alphabet):
+    """A partial automaton with 1-7 states, random accepts and transitions."""
+    n = rng.randint(1, 7)
+    accept = frozenset(s for s in range(n) if rng.random() < 0.5)
+    trans = {(s, lt): rng.randrange(n) for s in range(n)
+             for lt in alphabet.signed_letters() if rng.random() < 0.5}
+    return Dfa(n, 0, accept, trans, alphabet)
+
+
+def has_non_geodesic_prefix(group, index, w):
+    """Some prefix of w within the radius is longer than its distance."""
+    e = group.identity
+    for k, lt in enumerate(w.letters[:index.radius], 1):
+        e = group.apply_letter(e, lt)
+        if index.distance(e) < k:
+            return True
+    return False
+
+
+def diagonal_z2():
+    """Unit-weight Z^2 on (1,0), (0,1), (1,1): edges join equal spheres."""
+    return WeightedZnGroup(WeightedGenSet(2, (((1, 0), 1), ((0, 1), 1), ((1, 1), 1))))
 
 
 class TestDfa:
@@ -223,6 +310,30 @@ class TestVerify:
         with pytest.raises(DeadendError, match="weights"):
             verify_language(zn_sorted_dfa(2), group, ball(group, 11))
 
+    def test_unknown_letter_raises(self):
+        abc = GenAlphabet(("a", "b", "c"))
+        dfa = Dfa(1, 0, frozenset({0}), {(0, lt): 0 for lt in abc.signed_letters()}, abc)
+        group = FreeGroup(2)
+        with pytest.raises(UnknownLetter, match=r"\(2, 1\) not in alphabet"):
+            verify_language(dfa, group, ball(group, 3))
+
+    def test_memory_bounded_by_ball(self):
+        # one state mask per ball element: the search peaks below the ball
+        dfa, group = builtin_dfas()["f2_reduced"]
+        ball(group, 2)  # warm the group's caches outside the trace
+        tracemalloc.start()
+        try:
+            index = ball(group, 8)
+            ball_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = verify_language(dfa, group, index)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak <= 1.25 * ball_bytes
+
     @pytest.mark.parametrize("make, sound, words, covered, word, element", [
         (loop_dfa, False, 22, 13, "a a-", "(0,-1)"),
         (detour_dfa, False, 2, 0, "a a- b", "(0,0)"),
@@ -242,6 +353,42 @@ class TestVerify:
         got = report.counterexample_word
         assert (None if got is None else got.render(AB)) == word
         assert report.counterexample_element == element
+
+
+    def fields(self, report):
+        return (report.sound, report.complete, report.words_checked,
+                report.elements_covered, report.counterexample_word,
+                report.counterexample_element)
+
+    def assert_matches_reference(self, dfa, group, index):
+        got = self.fields(verify_language(dfa, group, index))
+        want = reference_verify(dfa, group, index)
+        assert got[:4] + got[5:] == want[:4] + want[5:]
+        for w in (got[4], want[4]):
+            assert (w is None) == want[0]
+            if w is not None:
+                assert dfa_accepts(dfa, w) and has_non_geodesic_prefix(group, index, w)
+
+    @pytest.mark.parametrize("make", [
+        loop_dfa, detour_dfa, quadrant_dfa, prefixed_loop_dfa, staircase_dfa,
+        diamond_dfa, dead_state_dfa, nonempty_sorted_dfa, lambda: zn_sorted_dfa(2)])
+    def test_fixtures_match_reference(self, make):
+        group = standard_zn(2)
+        self.assert_matches_reference(make(), group, ball(group, 6))
+
+    def test_builtin_f2_matches_reference(self):
+        dfa, group = builtin_dfas()["f2_reduced"]
+        self.assert_matches_reference(dfa, group, ball(group, 5))
+
+    @pytest.mark.parametrize("make_group, radius", [
+        (lambda: standard_zn(2), 6), (lambda: FreeGroup(2), 5), (diagonal_z2, 5)],
+        ids=["z2", "f2", "diagonal_z2"])
+    def test_random_automata_match_reference(self, make_group, radius):
+        group = make_group()
+        index = ball(group, radius)
+        rng = random.Random(20061)
+        for _ in range(300):
+            self.assert_matches_reference(random_dfa(rng, group.alphabet), group, index)
 
 
 class TestExtend:
