@@ -378,8 +378,9 @@ class DepthBoundReport:
 
 def depth_bound(ws: WeightedGenSet, index: BallIndex) -> DepthBoundReport:
     """Uniform depth bound 2D + M + 1 from the facet geometry, then verify
-    it against oracle depths for every element the index can certify
-    (search.certified_max_depth; a violation raises ClaimViolation)."""
+    it against the exact depth of every element at d < radius; a cap may
+    run past the ball (search.certified_max_depth; a violation raises
+    ClaimViolation)."""
     poly = build_polytope(ws)
     cell_pts = set()
     for facet in poly.facets:

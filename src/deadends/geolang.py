@@ -340,11 +340,12 @@ def depth_bound_check(
     index: BallIndex,
     verification: VerifyReport,
 ) -> tuple[int, int]:
-    """Max oracle depth over ball elements with margin, and the 2n bound.
+    """Max oracle depth over the elements at d < radius, and the 2n bound.
 
-    Depths are certified by search.certified_max_depth with bound
-    2 n_states: any element certified deeper than that contradicts the
-    pumping bound and raises ClaimViolation.
+    Every element at d < radius gets its exact depth, and a cap may run
+    past the ball: search.certified_max_depth searches with bound
+    2 n_states, and any element deeper than that contradicts the pumping
+    bound and raises ClaimViolation.
     """
     if verification.dfa is not dfa or not verification.ok:
         raise SoundnessUnverified("depth bound needs a fully verified DFA")

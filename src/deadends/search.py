@@ -8,7 +8,9 @@ complement of the closed ball of radius d(1,g); it is measured by a second
 outward search from g and is never silently truncated: if the cap is hit,
 the report carries a flagged lower bound instead.
 
-A depth search needs exact distances only up to d0 = d(1,g), so the index
+One depth contract holds throughout: every element at distance d < radius
+of the index gets its exact depth, and a cap may run past the ball.  A
+depth search needs exact distances only up to d0 = d(1,g), so the index
 need only reach radius R >= d0.  An element missing from the complete
 closed ball of radius R lies farther than R >= d0, so the search treats
 anything outside the table as farther.  It pops in (distance, element)
@@ -18,10 +20,10 @@ lies in B(d0), which the index holds; it keeps at most
 
 A dead end of the index is an element at distance d < radius with no
 letter of the lightest weight w_min to a strictly farther indexed element
-(unweighted: no neighbour at distance d + 1).  Every other element with
-room for a step of w_min has depth exactly w_min, so only dead ends need
-a search.  The breadth-first build takes all neighbours of an element in
-one group.neighbours call and records the dead ends from them; any other
+(unweighted: no neighbour at distance d + 1).  Every other element at
+d < radius has depth exactly w_min, so only dead ends need a search.  The
+breadth-first build takes all neighbours of an element in one
+group.neighbours call and records the dead ends from them; any other
 index computes them on first use.  A scan still tests every letter
 lighter than min_depth on the dead ends it walks, so its exclusion stays
 exact.
@@ -371,55 +373,38 @@ def depth(group: MarkedGroup, element, index: BallIndex | SplitIndex, cap: int) 
 
 
 def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
-    """(largest certified depth, number certified) over the ball.
+    """(largest depth, number of elements) over the elements at distance < radius.
 
-    Each element's search is capped at min(bound, room left in the ball).
-    A farther element within the cap certifies its depth; a miss at the
-    full bound certifies depth > bound and raises ClaimViolation, while a
-    miss at a smaller cap certifies nothing and the element is skipped.
+    Every element at distance < radius gets its exact depth, and a cap may
+    run past the ball (module docstring), so each search is capped at bound
+    and a miss certifies depth > bound: it raises ClaimViolation naming the
+    first violator in table order.
 
-    Only dead ends whose cap reaches the lightest letter weight w_min are
-    searched.  The dead ends are index.dead_ends: elements at distance <
-    radius with no letter of weight w_min to a strictly farther indexed
+    Only the dead ends are searched (index.dead_ends: elements at distance
+    < radius with no letter of weight w_min to a strictly farther indexed
     element, recorded by the unweighted BFS and computed on first use for
-    any other index.  Any other element has a letter of weight w_min to an
-    indexed, strictly farther element; with the cap >= w_min the search
-    would meet that neighbour within its cap and nothing nearer, so the
-    depth is exactly w_min and the element is certified without the
-    search.  A search with cap < w_min takes no step, since every letter
-    weighs at least w_min: it pops the element alone and misses.
-
-    With bound >= w_min the settled elements are the ones at distance
-    <= radius - w_min that are no dead ends, so the spheres count them and
-    no loop visits them.  The searches cover the dead ends at those
-    distances, in table order.  Past them every cap is below w_min <=
-    bound, a miss that certifies nothing, so a violator is one of those
-    dead ends and the first violator in table order is the one reported.
-    With bound < w_min every search misses and certifies nothing, so the
-    first element in table order with room >= bound is the violator, and
-    with bound < 1 no element is searched at all.
+    any other index).  Any other element at distance < radius has a letter
+    of weight w_min to an indexed, strictly farther element, and no letter
+    is lighter, so its depth is exactly w_min: the spheres count it and no
+    loop visits it.  With bound < w_min every element at distance < radius
+    is deeper than the bound, so the first of them in table order is the
+    violator, found with no search.
     """
     group = index.group
     radius = index.radius
     w_min = _lightest_weight(group)
     if bound < w_min:
-        if bound >= 1:
-            for e, d0 in index.table.items():
-                if radius - d0 >= bound:
-                    raise ClaimViolation("element %s has depth > %d" % (group.render(e), bound))
-        return 0, 0
-    inner = radius - w_min
-    dead = [(e, d) for e, d in index.dead_ends.items() if d <= inner]
-    checked = sum(c for d, c in index.spheres.items() if d <= inner) - len(dead)
-    max_depth = w_min if checked else 0
-    for e, d0 in dead:
-        cap = min(bound, radius - d0)
-        report = depth(group, e, index, cap)
-        if report.exceeds_cap:
-            if cap == bound:
+        for e, d0 in index.table.items():
+            if d0 < radius:
                 raise ClaimViolation("element %s has depth > %d" % (group.render(e), bound))
-            continue
-        checked += 1
+        return 0, 0
+    dead = index.dead_ends
+    checked = sum(c for d, c in index.spheres.items() if d < radius)
+    max_depth = w_min if checked > len(dead) else 0
+    for e in dead:
+        report = depth(group, e, index, bound)
+        if report.exceeds_cap:
+            raise ClaimViolation("element %s has depth > %d" % (group.render(e), bound))
         max_depth = max(max_depth, report.depth)
     return max_depth, checked
 
@@ -454,22 +439,23 @@ def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
 
 def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
                  cap: Optional[int] = None) -> list[DepthReport]:
-    """All certifiable elements of depth >= min_depth, ordered by (distance, element).
+    """Every element at distance < radius of depth >= min_depth, ordered by
+    (distance, element).
 
-    Only elements with distance + cap <= radius are scanned; reports flagged
-    exceeds_cap carry depth lower bounds >= cap+1 > min_depth.
+    Each depth is exact, and a cap may run past the ball (module
+    docstring); reports flagged exceeds_cap carry depth lower bounds
+    >= cap+1 > min_depth.
 
-    An element with a strictly farther neighbour across a letter of weight
-    w < min_depth is skipped without a search: that neighbour is indexed
-    (w < min_depth <= cap and distance + cap <= radius), so depth <= w.
-    With min_depth > w_min, the lightest letter weight, that skips every
+    An element with a strictly farther indexed neighbour across a letter of
+    weight w < min_depth is skipped without a search: its depth is at most
+    w.  With min_depth > w_min, the lightest letter weight, that skips every
     element but the dead ends (index.dead_ends: no letter of weight w_min
     leads farther; recorded by the unweighted BFS, computed on first use
     for any other index), so the scan walks the dead ends alone.  It
     still applies the same test to each, which keeps the exclusion exact
     when letters heavier than w_min are lighter than min_depth.  With
     min_depth <= w_min every element is at least that deep and the scan
-    walks the whole table.
+    walks every element below the radius.
     """
     if cap is None:
         cap = min_depth
@@ -480,7 +466,7 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
     climbs = _outward_step(index, table.__getitem__, min_depth)
     out = []
     for e, d0 in walk.items():
-        if d0 + cap > index.radius or climbs(e, d0):
+        if d0 >= index.radius or climbs(e, d0):
             continue
         report = depth(group, e, index, cap)
         if report.depth >= min_depth:

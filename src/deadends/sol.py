@@ -10,8 +10,8 @@ the generators a = ((1,0); 0), b = ((0,1); 0), c = (0; 1) is a lamplighter
 walk that deposits Z^2-valued lamps along the c-axis, and the element it
 evaluates to is read off from the pair of Laurent polynomials collecting
 the deposits degree by degree.  Everything metric here (minimal supports,
-the linear-time length formula, the wreath oracle, flat candidates) goes
-through that picture.
+the linear-time length formula, the wreath oracle) goes through that
+picture.
 
 Minimal supports come from iterative deepening over unit strips inside a
 degree window.  The window is proven, not floating point: it follows from a
@@ -57,10 +57,6 @@ class NotHyperbolic(DeadendError):
 
 class CapExceeded(DeadendError):
     """Search exhausted its length or radius cap without an answer."""
-
-
-class NoFeasibleK(DeadendError):
-    """Flat-candidate window is empty at the requested scale."""
 
 
 def _mat_mul2(a: Mat2, b: Mat2) -> Mat2:
@@ -1230,91 +1226,3 @@ def distort_witness(zvec: Vec2, m: int, R: HypMatrix) -> Word:
             "witness length %d exceeds bound %d for %r" % (len(word), bound, zvec)
         )
     return word
-
-
-# ---------------------------------------------------------------------------
-# Flat candidates: elements whose short representatives are forced flat.
-
-
-@dataclass(frozen=True)
-class FlatReport:
-    """Window of x-axis integers K whose elements (K, 0; 0) defeat every
-    distorted shortcut at scale (m, n).
-
-    Membership predicate for the box: |i|, |j| < B^m with both eigendistances
-    of the deposit exceeding 2 c2 |tau|^n times the per-letter maxima.
-    """
-
-    base: int
-    m: int
-    n: int
-    l_max: int
-    k_lo: int
-    k_hi: int
-    candidates: tuple[SolElement, ...]
-    c2: float
-    dc_threshold: float
-    de_threshold: float
-
-    def in_deep_box(self, u: Vec2, R: HypMatrix) -> bool:
-        box = self.base ** self.m
-        if abs(u[0]) >= box or abs(u[1]) >= box:
-            return False
-        eg = eigen_geometry(R)
-        return (
-            eg.d_c(u) > self.dc_threshold and eg.d_e(u) > self.de_threshold
-        )
-
-
-def flat_candidates(R: HypMatrix, m: int, n: int) -> FlatReport:
-    """Integers K with L < K < B^m - L for L = ceil((2 c2 |tau|^n) * r + ...),
-    so that (K, 0; 0) sits deep inside the box at eigendistance > thresholds.
-    The eigendistance comparison constant c2 is 1.
-
-    Raises NoFeasibleK when the window closes (m too small for n).
-    """
-    if not isinstance(R, HypMatrix):
-        R = HypMatrix(R)
-    eg = eigen_geometry(R)
-    at = abs(eg.tau)
-    B, _ = _base_relation(R)
-    dcmax = max(eg.d_c((1, 0)), eg.d_c((0, 1)))
-    demax = max(eg.d_e((1, 0)), eg.d_e((0, 1)))
-    maxd = max(dcmax, demax)
-    dc_unit = max(eg.d_c((1, 0)), 1e-12)
-    de_unit = max(eg.d_e((1, 0)), 1e-12)
-    mind = min(dc_unit, de_unit)
-    c2 = 1.0
-    grow = 2.0 * c2 * (at ** n)
-    # (K, 0) has eigendistances K * d_c(e1) and K * d_e(e1); we need both
-    # above grow * maxd, plus an L-margin on each side of the box.
-    ratio = maxd / mind
-    l_need = grow * ratio
-    L = max(1, int(math.floor(l_need)) + 1)
-    box = B ** m
-    k_lo = L + 1
-    k_hi = box - L - 1
-    if k_lo > k_hi:
-        raise NoFeasibleK(
-            "window empty: need L=%d margins inside a box of %d" % (L, box)
-        )
-    dc_threshold = grow * dcmax
-    de_threshold = grow * demax
-    cands: list[SolElement] = []
-    for K in range(k_lo, k_hi + 1):
-        if K * dc_unit > dc_threshold and K * de_unit > de_threshold:
-            cands.append((K, 0, 0))
-    if not cands:
-        raise NoFeasibleK("no K in [%d, %d] clears the thresholds" % (k_lo, k_hi))
-    return FlatReport(
-        base=B,
-        m=m,
-        n=n,
-        l_max=L,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        candidates=tuple(cands),
-        c2=c2,
-        dc_threshold=dc_threshold,
-        de_threshold=de_threshold,
-    )

@@ -113,6 +113,14 @@ class TestDepthScan:
         assert any(r["element"] == "(0,0,5)" and r["distance"] == 10
                    for r in payload["rows"])
 
+    def test_sol_rows_below_the_radius(self, specs, tmp_path):
+        # 52 rows of depth 3, all at d = 11 and 12 of the radius-13 ball
+        assert main(["depth-scan", "--spec", specs["sol"], "--radius", "13",
+                     "--min-depth", "3", "--cap", "6", "--out", str(tmp_path)]) == 0
+        assert len(lines_of(tmp_path / "depth_scan.csv")) == 53
+        assert hashlib.sha256((tmp_path / "depth_scan.csv").read_bytes()).hexdigest() == \
+            "e6d027be751c314a2417a064439e1a745e73a38c28ea6386e28413b6810e3aa6"
+
     def test_cap_below_min_depth_exits_2(self, specs, tmp_path):
         assert main(["depth-scan", "--spec", specs["heis"], "--radius", "8",
                      "--min-depth", "2", "--cap", "1",

@@ -101,6 +101,12 @@ def _doctored_z2():
     return BallIndex(g, 5, table, spheres)
 
 
+def _exact_depths(idx, cap):
+    """depth() with the given cap on every element at distance < radius, in
+    table order: the one depth contract, with no shortcut."""
+    return [depth(idx.group, e, idx, cap) for e, d in idx.table.items() if d < idx.radius]
+
+
 def _rebuilt(group, radius):
     """A hand-built index over the ball's table: dead ends on first use."""
     idx = ball(group, radius)
@@ -361,11 +367,10 @@ class TestDeadendScan:
 
     @staticmethod
     def _brute_force(g, idx, min_depth, cap=None):
-        """depth() on every element with room, filtered and in (distance, element) order."""
-        cap = min_depth if cap is None else cap
-        reports = (depth(g, e, idx, cap) for e, d in idx.items_sorted()
-                   if d + cap <= idx.radius)
-        return [r for r in reports if r.depth >= min_depth]
+        """_exact_depths, filtered and in (distance, element) order."""
+        reports = _exact_depths(idx, min_depth if cap is None else cap)
+        return sorted((r for r in reports if r.depth >= min_depth),
+                      key=lambda r: (r.distance_from_identity, r.element))
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_heis_matches_brute_force(self, cap):
@@ -398,96 +403,125 @@ class TestDeadendScan:
         assert expected
         assert deadend_scan(g, idx, 1) == expected
 
-    @pytest.mark.parametrize("min_depth, hits", [(2, 61), (4, 0)])
+    @pytest.mark.parametrize("min_depth, hits", [(2, 81), (4, 0)])
     def test_lightest_weight_two_matches_brute_force(self, monkeypatch, min_depth, hits):
-        # Letters weigh {2, 3}.  At min_depth 2 = w_min every element with
-        # room is reported and searched, dead end or not; at min_depth 4 the
-        # dead ends with room all climb across a weight-3 letter, which
-        # excludes them without a search.
+        # Letters weigh {2, 3}.  At min_depth 2 = w_min every element below
+        # the radius is reported and searched, dead end or not.  At min_depth
+        # 4 the 12 dead ends at d <= 8 climb across a weight-3 letter, which
+        # excludes them without a search; the other 20, at d = 11, step past
+        # the ball on it, so they are searched and come out shallower.
         g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((3, 1), 3))))
         idx = ball(g, 12)
-        room = [e for e, d in idx.table.items() if d + min_depth <= idx.radius]
+        inside = [e for e, d in idx.table.items() if d < idx.radius]
         expected = self._brute_force(g, idx, min_depth)
         calls = _record_searches(monkeypatch)
         assert deadend_scan(g, idx, min_depth) == expected
         assert len(expected) == hits
         if min_depth == 2:
-            assert calls == room and len(room) == hits
+            assert calls == inside and len(inside) == hits
         else:
-            assert calls == [] and len([e for e in idx.dead_ends if e in room]) == 12
+            searched = [e for e, d in idx.dead_ends.items() if d == 11]
+            assert len(idx.dead_ends) == 32 and len(searched) == 20 and calls == searched
+
+    def test_rows_past_the_room_equal_depth_on_a_larger_ball(self, heis_group):
+        # B(12) at cap 3: the four dead ends at d = 10 have no room for the
+        # cap inside the ball; each row equals depth on B(15) all the same.
+        idx = ball(heis_group, 12)
+        rows = deadend_scan(heis_group, idx, 2, cap=3)
+        assert len([r for r in rows if r.distance_from_identity + 3 > idx.radius]) == 4
+        bigger = ball(heis_group, 15)
+        assert rows == [depth(heis_group, r.element, bigger, 3) for r in rows]
+
+    @pytest.mark.parametrize("make, min_depth, cap", [
+        (lambda: ball(HeisenbergGroup(), 12), 2, 2),
+        (lambda: ball(HeisenbergGroup(), 12), 2, 3),
+        (lambda: ball(WeightedZnGroup(WEIGHTED_13), 10), 2, 4),
+        (lambda: ball(FreeGroup(2), 6), 1, 2),
+        (lambda: ball(SolGroup(HypMatrix([[2, 1], [1, 1]])), 9), 2, 3),
+    ], ids=["heis12_cap2", "heis12_cap3", "w13", "f2", "sol9"])
+    def test_rows_with_room_are_unchanged(self, make, min_depth, cap):
+        # The rows a scan restricted to d + cap <= radius reports come back
+        # rendered identically, and in the same order.
+        idx = make()
+        g = idx.group
+        with_room = [depth(g, e, idx, cap) for e, d in idx.items_sorted()
+                     if d + cap <= idx.radius]
+        expected = [r.to_json_obj(g) for r in with_room if r.depth >= min_depth]
+        rows = deadend_scan(g, idx, min_depth, cap=cap)
+        assert [r.to_json_obj(g) for r in rows
+                if r.distance_from_identity + cap <= idx.radius] == expected
 
     def test_searches_only_the_dead_ends(self, monkeypatch):
         g = HeisenbergGroup()
         idx = ball(g, 12)
-        dead = [e for e, d in idx.dead_ends.items() if d + 2 <= idx.radius]
         calls = _record_searches(monkeypatch)
         reports = deadend_scan(g, idx, 2)
-        assert calls == dead and len(calls) == 12
+        assert calls == list(idx.dead_ends) and len(calls) == 12
         rebuilt = BallIndex(g, idx.radius, idx.table, idx.spheres)
         assert deadend_scan(g, rebuilt, 2) == reports
 
 
 class TestCertifiedMaxDepth:
     @staticmethod
-    def _brute_force(g, idx, bound):
-        """depth() with cap min(bound, room) on every element, sorted order."""
+    def _walk_every_element(idx, bound):
+        """The certification as _exact_depths at cap max(bound, 1): the
+        largest depth and the count, or the message naming the first
+        element in table order that is deeper than the bound."""
         max_depth = checked = 0
-        for e, d in idx.items_sorted():
-            cap = min(bound, idx.radius - d)
-            if cap < 1:
-                continue
-            report = depth(g, e, idx, cap)
-            if report.exceeds_cap:
-                if cap == bound:
-                    return ClaimViolation
-                continue
+        for report in _exact_depths(idx, max(bound, 1)):
+            if report.depth > bound:
+                return "element %s has depth > %d" % (idx.group.render(report.element), bound)
             checked += 1
             max_depth = max(max_depth, report.depth)
         return max_depth, checked
 
+    @classmethod
+    def _assert_matches_the_walk(cls, idx, bound):
+        """certified_max_depth agrees with the walk, violator included;
+        returns the walk's outcome, ClaimViolation for a violation."""
+        expected = cls._walk_every_element(idx, bound)
+        if isinstance(expected, str):
+            with pytest.raises(ClaimViolation, match="^%s$" % re.escape(expected)):
+                certified_max_depth(idx, bound)
+            return ClaimViolation
+        assert certified_max_depth(idx, bound) == expected
+        return expected
+
     def test_heis_matches_brute_force(self):
-        g = HeisenbergGroup()
-        idx = ball(g, 8)
-        assert certified_max_depth(idx, 3) == self._brute_force(g, idx, 3) == (3, 1067)
+        # B(8) at bound 3: the two elements at d = 7 that the room rule
+        # left out are now certified too.
+        idx = ball(HeisenbergGroup(), 8)
+        assert self._assert_matches_the_walk(idx, 3) == (3, 1069)
+
+    def test_heis_cap_past_the_ball_convicts(self):
+        # (0,0,1) sits at d = 4 in B(5) with depth 3 (B(5) alone tells it:
+        # the search stops at a farther element past the ball).
+        idx = ball(HeisenbergGroup(), 5)
+        assert depth(idx.group, (0, 0, 1), idx, 3).depth == 3
+        with pytest.raises(ClaimViolation, match=r"^element \(0,0,1\) has depth > 2$"):
+            certified_max_depth(idx, 2)
+
+    def test_heis_deepest_below_the_radius_is_certified(self):
+        # B(12) at bound 5: the room rule reported (3, 6275); every element
+        # at d < 12 is certified and the deepest has depth 5.
+        assert certified_max_depth(ball(HeisenbergGroup(), 12), 5) == (5, 6281)
 
     @pytest.mark.parametrize("bound, outcome",
                              [(2, ClaimViolation), (3, (3, 85)), (6, (3, 85))])
     def test_weighted_matches_brute_force(self, bound, outcome):
         g = WeightedZnGroup(WEIGHTED_13)
-        idx = ball(g, 10)
-        assert self._brute_force(g, idx, bound) == outcome
-        if outcome is ClaimViolation:
-            with pytest.raises(ClaimViolation):
-                certified_max_depth(idx, bound)
-        else:
-            assert certified_max_depth(idx, bound) == outcome
+        assert self._assert_matches_the_walk(ball(g, 10), bound) == outcome
 
     def test_free_group_matches_brute_force(self):
-        g = FreeGroup(2)
-        idx = ball(g, 6)
-        assert certified_max_depth(idx, 2) == self._brute_force(g, idx, 2)
-        assert certified_max_depth(idx, 2) == (1, 1 + 4 + 12 + 36 + 108 + 324)
+        idx = ball(FreeGroup(2), 6)
+        assert self._assert_matches_the_walk(idx, 2) == (1, 1 + 4 + 12 + 36 + 108 + 324)
 
     def test_miss_with_room_equal_to_bound_convicts(self):
-        # (0,0,+-1) sit at distance 4 with depth 3; at radius 5 their room
-        # is 1, so a miss at cap 1 = bound already certifies depth > 1.
+        # (0,0,+-1) sit at distance 4 with depth 3, one step below the
+        # radius; a miss at cap 1 = bound certifies depth > 1.
         idx = ball(HeisenbergGroup(), 5)
         with pytest.raises(ClaimViolation, match=r"\(0,0,-?1\) has depth > 1"):
             certified_max_depth(idx, 1)
-
-    @classmethod
-    def _assert_matches_unfiltered(cls, g, idx, bound):
-        """Same result as _brute_force; a violation names the element the
-        search-every-element loop meets first in table order."""
-        expected = cls._brute_force(g, idx, bound)
-        if expected is not ClaimViolation:
-            assert certified_max_depth(idx, bound) == expected
-            return
-        violator = next(e for e, d in idx.table.items() if d + bound <= idx.radius
-                        and depth(g, e, idx, bound).exceeds_cap)
-        message = "element %s has depth > %d" % (g.render(violator), bound)
-        with pytest.raises(ClaimViolation, match=re.escape(message)):
-            certified_max_depth(idx, bound)
 
     def test_free_group_runs_no_search(self, monkeypatch):
         idx = ball(FreeGroup(2), 6)
@@ -503,27 +537,26 @@ class TestCertifiedMaxDepth:
         g = WeightedZnGroup(WeightedGenSet(3, gens))
         idx = ball(g, 8)
         bound = 43  # what abelian.depth_bound derives for this set
-        expected = self._brute_force(g, idx, bound)
+        expected = self._walk_every_element(idx, bound)
         calls = _record_searches(monkeypatch)
         assert certified_max_depth(idx, bound) == expected == (1, 173)
         assert calls == []
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_heis_bounds_match_brute_force(self, bound):
-        g = HeisenbergGroup()
-        self._assert_matches_unfiltered(g, ball(g, 8), bound)
+        self._assert_matches_the_walk(ball(HeisenbergGroup(), 8), bound)
 
     @pytest.mark.parametrize("bound", [3, 5])
     def test_heavy_climbing_letter_settles_nothing(self, bound):
         # Z marked by 1 (weight 1) and 7 (weight 4): the depth-4 elements
         # climb only across the weight-4 letter, so they must be searched.
         g = WeightedZnGroup(WeightedGenSet(1, (((1,), 1), ((7,), 4))))
-        self._assert_matches_unfiltered(g, ball(g, 10), bound)
+        self._assert_matches_the_walk(ball(g, 10), bound)
 
     def test_searches_exactly_the_unsettled_elements(self, monkeypatch):
-        # {1,3} at r=10: an element is searched iff it has room and no
-        # weight-1 letter leads farther; a farther neighbour across a
-        # weight-3 letter settles nothing.
+        # {1,3} at r=10: an element is searched iff it lies below the
+        # radius and no weight-1 letter leads farther; a farther neighbour
+        # across a weight-3 letter settles nothing.
         g = WeightedZnGroup(WEIGHTED_13)
         idx = ball(g, 10)
         table = idx.table
@@ -534,62 +567,23 @@ class TestCertifiedMaxDepth:
         assert certified_max_depth(idx, 3) == (3, 85)
         assert unsettled and calls == unsettled
 
-    def test_room_below_lightest_letter_is_not_searched(self, monkeypatch):
-        # Every letter weighs >= 2, so a room-1 element has cap 1 < 2: its
-        # search could take no step and certify nothing, so it is skipped,
-        # and only the dead ends with room for a weight-2 step are searched.
-        g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))))
-        idx = ball(g, 7)
-        table = idx.table
-        rim = [e for e, d in table.items() if idx.radius - d == 1
-               and any(table.get(g.apply_letter(e, lt), -1) > d
-                       for lt, w in g.weighted_letters if w == 2)]
-        expected = self._brute_force(g, idx, 3)
-        calls = _record_searches(monkeypatch)
-        assert certified_max_depth(idx, 3) == expected
-        assert rim and not set(rim) & set(calls)
-        assert calls == [e for e, d in idx.dead_ends.items() if d <= idx.radius - 2]
-
     @pytest.mark.parametrize("bound", [-1, 0, 1])
     def test_bound_below_lightest_letter_runs_no_search(self, monkeypatch, bound):
-        # With every letter weighing >= 2, a bound of 1 convicts the first
-        # element with room for it, and a bound below 1 certifies nothing.
+        # With every letter weighing >= 2, every element below the radius is
+        # deeper than a bound below 2, so the first in table order convicts.
         g = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))))
         idx = ball(g, 7)
         expected = self._walk_every_element(idx, bound)
+        assert expected == "element (0,0) has depth > %d" % bound
         calls = _record_searches(monkeypatch)
-        if bound < 1:
-            assert certified_max_depth(idx, bound) == expected == (0, 0)
-        else:
-            assert expected == "element (0,0) has depth > 1"
-            with pytest.raises(ClaimViolation, match="^%s$" % re.escape(expected)):
-                certified_max_depth(idx, bound)
+        with pytest.raises(ClaimViolation, match="^%s$" % re.escape(expected)):
+            certified_max_depth(idx, bound)
         assert calls == []
 
-    @staticmethod
-    def _walk_every_element(idx, bound):
-        """The certification as a walk over every table element: settle an
-        element with room for w_min that is no dead end, search the rest.
-        A violation comes back as the message naming the first violator."""
-        g = idx.group
-        w_min = min(w for _lt, w in g.weighted_letters)
-        max_depth = checked = 0
-        for e, d in idx.table.items():
-            cap = min(bound, idx.radius - d)
-            if cap < 1:
-                continue
-            if cap >= w_min and e not in idx.dead_ends:
-                checked += 1
-                max_depth = max(max_depth, w_min)
-                continue
-            report = depth(g, e, idx, cap)
-            if report.exceeds_cap:
-                if cap == bound:
-                    return "element %s has depth > %d" % (g.render(e), bound)
-                continue
-            checked += 1
-            max_depth = max(max_depth, report.depth)
-        return max_depth, checked
+    def test_radius_zero_certifies_nothing(self):
+        idx = ball(HeisenbergGroup(), 0)
+        for bound in (0, 1, 3):
+            assert certified_max_depth(idx, bound) == (0, 0)
 
     @pytest.mark.parametrize("make, bounds", [
         (lambda: ball(HeisenbergGroup(), 12), (1, 2, 3, 4, 6)),
@@ -601,15 +595,7 @@ class TestCertifiedMaxDepth:
     ], ids=["heis12", "f2_6", "w233", "heis5_rebuilt", "z2_doctored"])
     def test_matches_the_walk_over_every_element(self, make, bounds):
         idx = make()
-        outcomes = []
-        for bound in bounds:
-            expected = self._walk_every_element(idx, bound)
-            if isinstance(expected, str):
-                with pytest.raises(ClaimViolation, match="^%s$" % re.escape(expected)):
-                    certified_max_depth(idx, bound)
-            else:
-                assert certified_max_depth(idx, bound) == expected
-            outcomes.append(expected)
+        outcomes = [self._assert_matches_the_walk(idx, bound) for bound in bounds]
         assert any(isinstance(o, tuple) for o in outcomes)
 
     def test_doctored_index_names_its_violator(self):
@@ -620,7 +606,7 @@ class TestCertifiedMaxDepth:
 
     def test_weighted_violation_names_first_in_table_order(self):
         g = WeightedZnGroup(WEIGHTED_13)
-        self._assert_matches_unfiltered(g, ball(g, 10), 2)
+        assert self._assert_matches_the_walk(ball(g, 10), 2) is ClaimViolation
 
 
 def _dominates(index, f, center, radius):

@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from deadends.core import OutOfBox, Word
-from deadends.search import ClaimViolation, ResourceCap, ball
+from deadends.search import ClaimViolation, ResourceCap, SplitIndex, ball, deadend_scan, depth
 from deadends.sol import (
     BdiffReport,
     CapExceeded,
     HypMatrix,
     LaurentPoly,
-    NoFeasibleK,
     NotHyperbolic,
     SolGroup,
     SupportVector,
@@ -30,7 +29,6 @@ from deadends.sol import (
     char_poly,
     distort_witness,
     eigen_geometry,
-    flat_candidates,
     gaps_window,
     integer_expansion,
     ll_length,
@@ -647,27 +645,15 @@ class TestDistort:
             assert len(w) <= bound
 
 
-class TestFlat:
-    def test_window(self):
-        rep = flat_candidates(R_FIX, 3, 1)
-        assert (rep.base, rep.k_lo, rep.k_hi) == (3, 10, 17)
-        assert rep.candidates == tuple((k, 0, 0) for k in range(10, 18))
-
-    def test_too_small_m(self):
-        with pytest.raises(NoFeasibleK):
-            flat_candidates(R_FIX, 1, 1)
-
-    def test_membership_predicate(self):
-        rep = flat_candidates(R_FIX, 3, 1)
-        assert not rep.in_deep_box((0, 0), R_FIX)
-        assert rep.in_deep_box((12, 0), R_FIX)
-        assert not rep.in_deep_box((27, 0), R_FIX)
-
-    def test_candidate_is_deep(self, sol_group, sol_ball13):
-        """BFS certifies depth >= 2 for the (12,0,0) candidate."""
-        from deadends.search import depth
-        rep = flat_candidates(R_FIX, 3, 1)
-        assert (12, 0, 0) in rep.candidates
-        assert sol_ball13.distance((12, 0, 0)) == 12
-        dr = depth(sol_group, (12, 0, 0), sol_ball13, cap=1)
-        assert dr.exceeds_cap and dr.depth == 2
+class TestDeepPockets:
+    def test_scan_below_the_radius(self, sol_group, sol_ball13):
+        """Every Sol dead end at d < 13 of depth >= 3 gets its exact depth,
+        and the split B(13) + S(4) gives the same reports."""
+        rows = deadend_scan(sol_group, sol_ball13, 3, cap=6)
+        assert len(rows) == 52
+        assert {(r.distance_from_identity, r.depth, r.exceeds_cap) for r in rows} == \
+            {(11, 3, False), (12, 3, False)}
+        assert sum(r.distance_from_identity == 11 for r in rows) == 16
+        assert (12, 0, 0) in [r.element for r in rows]
+        split = SplitIndex(sol_ball13, 4)
+        assert rows == [depth(sol_group, r.element, split, 6) for r in rows]
