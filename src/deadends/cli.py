@@ -29,7 +29,6 @@ from .core import DeadendError, MarkedGroup
 from .geolang import Dfa, depth_bound_check, verify_language
 from .heis import HeisenbergGroup, _depth_bound_ceil, heis_family
 from .search import (
-    BallIndex,
     BoundViolated,
     ClaimViolation,
     ResourceCap,

@@ -211,18 +211,32 @@ def rederived_depth_bound(n: int) -> int:
     Take the largest m with m(m-1) <= 2n - 4: the m-step coordinate box
     around the target then sits inside the region where the short loop
     words apply, so everything within m of the target stays within 4n + 2
-    of the identity.  Every box element is checked by constructing and
-    evaluating its witness word.
+    of the identity.
+
+    Only the canonical part 0 <= i <= m, |j| <= i, 0 <= k <= kb of the box
+    is walked, one witness word built, reduced and evaluated per element.
+    That certifies the whole box:
+
+    - the box is square (i_bound = j_bound = m) and symmetric in k, so each
+      map (i, j, k) -> (e1*c1, e2*c2, e1*e2*k) in _SYMMETRIES carries it
+      onto itself, and likewise the n-box of nd_witness;
+    - each box element has, under some map, an image in the canonical part;
+    - each map acts on words, preserves word length and commutes with
+      evaluation, so a word of length <= 4n + 2 for a canonical element c
+      gives one of the same length for every element of c's orbit;
+    - a box element outside the n-box has its images outside it too, so a
+      leak anywhere in the box shows up in the canonical part, where
+      nd_witness raises OutOfBox.
     """
     if n <= 2:
         raise OutOfBox("family defined for n > 2")
     m = 0
     while (m + 1) * m <= 2 * n - 4 and m + 1 <= n + 1:
         m += 1
-    _pred, (ib, jb, kb) = nh_box(m, n)
-    for i in range(-ib, ib + 1):
-        for j in range(-jb, jb + 1):
-            for k in range(-kb, kb + 1):
+    _pred, (ib, _jb, kb) = nh_box(m, n)
+    for i in range(ib + 1):
+        for j in range(-i, i + 1):
+            for k in range(kb + 1):
                 nd_witness(i, j, k, n)  # raises if the box leaks or a word is too long
     return m + 1
 

@@ -16,10 +16,8 @@ from deadends.abelian import (
     depth_bound,
     facet_ray_word,
     sandwich_check,
-    weighted_distance,
     weighted_distances,
 )
-from deadends.core import Word
 from deadends.geolang import builtin_dfas, depth_bound_check, verify_language
 from deadends.heis import HeisenbergGroup, heis_family, heis_inverse, nd_witness, nh_box
 from deadends.search import ball, depth

@@ -1,5 +1,6 @@
 """Heisenberg normal forms, witness words, and the deep-element family."""
 
+import itertools
 import re
 
 import pytest
@@ -84,6 +85,19 @@ class TestSymmetries:
         assert sym.inverse() in _SYMMETRIES
         assert sym.inverse().on_word(sym.on_word(w)) == w
 
+    def test_every_short_word_exhaustively(self):
+        # the reduced walk in rederived_depth_bound rests on these three facts
+        letters = ((0, 1), (0, -1), (1, 1), (1, -1))
+        words = [Word(ls) for size in range(7) for ls in itertools.product(letters, repeat=size)]
+        assert len(words) == 5461
+        for sym in _SYMMETRIES:
+            inv = sym.inverse()
+            for w in words:
+                image = sym.on_word(w)
+                assert len(image) == len(w)
+                assert word_area_normal(image) == sym.on_element(word_area_normal(w))
+                assert inv.on_word(image) == w
+
 
 class TestWitnesses:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -129,10 +143,57 @@ class TestWitnesses:
             nh_box(2, 0)
 
 
+def box_radius(n):
+    """Largest m <= n + 1 with m(m-1) <= 2n - 4."""
+    return max(m for m in range(n + 2) if m * (m - 1) <= 2 * n - 4)
+
+
+def full_box_depth_bound(n):
+    """rederived_depth_bound walking the whole m-box, one word per element."""
+    m = box_radius(n)
+    _pred, (ib, jb, kb) = nh_box(m, n)
+    for i in range(-ib, ib + 1):
+        for j in range(-jb, jb + 1):
+            for k in range(-kb, kb + 1):
+                nd_witness(i, j, k, n)
+    return m + 1
+
+
+def walked_elements(n, monkeypatch):
+    """The elements rederived_depth_bound builds a witness word for."""
+    walked = []
+
+    def recording(i, j, k, n):
+        walked.append((i, j, k))
+        return nd_witness(i, j, k, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heis, "nd_witness", recording)
+        rederived_depth_bound(n)
+    return walked
+
+
 class TestFamily:
     def test_rederived_bounds(self):
-        assert {n: rederived_depth_bound(n) for n in (3, 4, 5, 6)} == \
-            {3: 3, 4: 3, 5: 4, 6: 4}
+        assert {n: rederived_depth_bound(n) for n in range(3, 9)} == \
+            {3: 3, 4: 3, 5: 4, 6: 4, 7: 4, 8: 5}
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rederived_matches_full_box_walk(self, n):
+        assert rederived_depth_bound(n) == full_box_depth_bound(n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_walk_covers_the_box_up_to_symmetry(self, n, monkeypatch):
+        walked = walked_elements(n, monkeypatch)
+        walked_set = set(walked)
+        assert len(walked_set) == len(walked)
+        _pred, (ib, jb, kb) = nh_box(box_radius(n), n)
+        for e in itertools.product(range(-ib, ib + 1), range(-jb, jb + 1), range(-kb, kb + 1)):
+            assert any(sym.on_element(e) in walked_set for sym in _SYMMETRIES), e
+
+    def test_walked_counts(self, monkeypatch):
+        counts = {n: len(walked_elements(n, monkeypatch)) for n in range(3, 7)}
+        assert counts == {3: 108, 4: 171, 5: 480, 6: 656}
 
     def test_rederived_rejects_small_n(self):
         with pytest.raises(OutOfBox):

@@ -7,7 +7,7 @@ import pytest
 
 from deadends import search
 from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
-from deadends.core import DeadendError, Word
+from deadends.core import DeadendError
 from deadends.geolang import FreeGroup
 from deadends.heis import HeisenbergGroup, heis_inverse
 from deadends.search import (
