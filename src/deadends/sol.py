@@ -23,6 +23,10 @@ The norms (abs_norm, bdiff_gap) read only the extents of the minimal
 supports: the clamped top and bottom degrees that the two-sweep
 lamplighter length needs.  They come from an extents memo that runs the
 same strip recursion as the support enumeration but builds no supports.
+
+Digit expansions along the entries of R^m are chosen in integers and
+checked against an exact integer length bound.  Only eigen_geometry, on
+which no answer depends, is in floating point.
 """
 
 from __future__ import annotations
@@ -557,12 +561,12 @@ class _SupportSearch:
             U, V = self._tau_pow(n)
             return _sign(U * A + V * B * disc - (K << n), U * B + V * A, disc) > 0
 
-        # A float estimate only picks where to start; the exact tests decide.
-        d2 = (A + B * math.sqrt(disc)) / (4 * disc)
-        n = 1
-        if d2 > 0:
-            log_ratio = math.log(self._c2 * l * l) - math.log(d2)
-            n = max(1, int(log_ratio / self._log_t) + 1)
+        # X, within 1 of 2^32 4 Delta D^2, only picks where to start; the
+        # exact tests decide.  math.log takes ints of any size, and the
+        # 2^32 keeps the start as good as a float one on small vectors.
+        root = math.isqrt(B * B * disc << 64)
+        X = (A << 32) + (root if B >= 0 else -root)
+        n = max(1, int((math.log(K << 32) - math.log(max(X, 1))) / self._log_t) + 1)
         while n > 1 and clears(n - 1):
             n -= 1
         while not clears(n):
@@ -763,38 +767,35 @@ def _reps_at_length(zvec: Vec2, R: HypMatrix, l: int) -> list[SupportVector]:
     return _as_vectors(_support_search(R).reps(zvec[0], zvec[1], l))
 
 
+def _minimal_length(search: _SupportSearch, x: int, y: int, l_cap: int) -> int:
+    """The least l <= l_cap with a support of (x, y) of length at most l,
+    which is the minimal length of (x, y); past l_cap, CapExceeded."""
+    for l in range(l_cap + 1):
+        if search.reach(x, y, l):
+            return l
+    raise CapExceeded("no support of %r within length cap %d" % ((x, y), l_cap))
+
+
 def minimal_reps(zvec: Vec2, R: HypMatrix, l_cap: int = 24) -> list[SupportVector]:
-    """All minimal-length supports of zvec, by iterative deepening on length.
+    """All minimal-length supports of zvec: the supports of length exactly
+    its minimal length (the empty one for the zero vector).
 
     Raises ResourceCap when the support memo of R outgrows DEADEND_BUDGET.
     """
-    if zvec == (0, 0):
-        return [SupportVector(_ZERO, _ZERO)]
+    x, y = zvec
     search = _support_search(R)
-    for l in range(1, l_cap + 1):
-        found = search.reps(zvec[0], zvec[1], l)
-        if found:
-            return _as_vectors(found)
-    raise CapExceeded(
-        "no support of %r within length cap %d" % (zvec, l_cap)
-    )
+    return _as_vectors(search.reps(x, y, _minimal_length(search, x, y, l_cap)))
 
 
 def _minimal_extents(zvec: Vec2, R: HypMatrix, l_cap: int) -> frozenset[tuple[int, int, int]]:
     """Distinct (max(0, top), min(0, bot), length) over the minimal supports
-    of zvec, all that the two-sweep length reads of them.
-
-    The minimal length is the least l with a support of length at most l;
-    past l_cap, CapExceeded, exactly where minimal_reps raises it.
+    of zvec, all that the two-sweep length reads of them; past l_cap,
+    CapExceeded, exactly where minimal_reps raises it.
     """
     x, y = zvec
     search = _support_search(R)
-    for l in range(l_cap + 1):
-        if search.reach(x, y, l):
-            return frozenset((hi, lo, l) for hi, lo in search.extents(x, y, l))
-    raise CapExceeded(
-        "no support of %r within length cap %d" % (zvec, l_cap)
-    )
+    l = _minimal_length(search, x, y, l_cap)
+    return frozenset((hi, lo, l) for hi, lo in search.extents(x, y, l))
 
 
 # ---------------------------------------------------------------------------
@@ -992,80 +993,64 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Greedy expansion of an integer over the set {(R^m)_{11} : m >= 0}.
-
-    digits holds (power, entry_value, multiplicity) with multiplicities
-    bounded by floor(|tau|); the total length is logarithmic in |n|.
-    """
+    """n as a signed sum of entries p_m = (R^m)_{11}: digits holds
+    (power, entry_value, multiplicity), length is the sum of the |multiplicity|
+    and bound the exact, logarithmic integer it never exceeds."""
 
     n: int
     digits: tuple[tuple[int, int, int], ...]
     length: int
-    c1: float
-    c2: float
-    c3: float
-
-    @property
-    def bound(self) -> float:
-        return self.c1 + max(0.0, self.c2 * math.log(self.c3 * abs(self.n))) if self.n else self.c1
+    bound: int
 
 
 def integer_expansion(n: int, R: HypMatrix) -> ExpansionReport:
     """Write n as a short signed combination of upper-left entries of R^m.
 
-    Greedy: while n != 0, take the largest m with |p_m| <= ~|n| and subtract
-    the best multiple k p_m with |k| <= floor(|tau|).  The remainder shrinks
-    by a fixed factor because p_m tracks P_e tau^m up to the decaying
-    contracting part, so the digit count is logarithmic.
+    Greedy, in integers: while rem != 0, take the largest m with
+    0 < |p_m| <= |rem| and add k p_m, k = -(rem / p_m rounded, a tie to
+    even) clamped to |k| <= floor(|tau|).  |rem| strictly falls, to at
+    most |p_m| / 2 or by floor(|tau|) |p_m| keeping its sign, so m never
+    rises and each level is used in one run.
+
+    The entries are scanned up to the first j >= 2 with |p_j| > |n| and
+    |p_j| > |p_(j-1)|; no later one is <= |n|.  For |tr| >= 2,
+    |p_(j+1)| >= |tr| |p_j| - |p_(j-1)| > |p_j| once |p_j| > |p_(j-1)|.
+    For |tr| = 1 (det = -1), q_j = tr^j p_j obeys q_(j+1) = q_j + q_(j-1)
+    from q_0 = 1, so no two of q_1, q_2, ... have opposite signs and
+    |p_j| never falls from j = 2 on.
+
+    bound sums ceil(|p_next| / |p_j|) over the j with 0 < |p_j| <= |n|,
+    p_next the next nonzero entry: level m starts with |rem| < |p_next|,
+    so its run adds at most ceil(|rem| / |p_m|) to the length.  Digits
+    that miss n or the bound raise ClaimViolation.
     """
     if not isinstance(R, HypMatrix):
         R = HypMatrix(R)
-    eg = eigen_geometry(R)
-    at = abs(eg.tau)
-    # e1 = alpha v_e + beta v_c gives p_m = P_e tau^m + P_c lam_c^m exactly.
-    det = eg.v_e[0] * eg.v_c[1] - eg.v_e[1] * eg.v_c[0]
-    alpha = eg.v_c[1] / det
-    beta = -eg.v_e[1] / det
-    p_e = alpha * eg.v_e[0]
-    p_c = beta * eg.v_c[0]
-    kmax = max(1, int(math.floor(at)))
-    digits: dict[int, tuple[int, int]] = {}
-    rem = int(n)
-    guard = 0
+    n, tr, det = int(n), R.trace, R.det
+    kmax = max(1, (abs(tr) + math.isqrt(tr * tr - 4 * det)) // 2)
+    entries = [1]
+    while len(entries) < 3 or abs(entries[-1]) <= max(abs(n), abs(entries[-2])):
+        entries.append(R.power(len(entries))[0][0])
+    levels = [(j, p) for j, p in enumerate(entries) if p]
+    bound = sum(-(-abs(nxt) // abs(p))
+                for (_j, p), (_i, nxt) in zip(levels, levels[1:]) if abs(p) <= abs(n))
+    digits: dict[int, int] = {}
+    rem, top = n, len(levels) - 1
     while rem != 0:
-        guard += 1
-        if guard > 4096:
-            raise CapExceeded("expansion failed to terminate for n=%d" % n)
-        # Largest usable power: |p_m| <= |rem| keeps the correction a strict
-        # shrink; skip the occasional interior zero entry.
-        m_hi = int(math.log((abs(rem) + abs(p_c)) / abs(p_e)) / math.log(at)) + 2
-        m = 0
-        for j in range(m_hi + 1):
-            pj = R.power(j)[0][0]
-            if pj != 0 and abs(pj) <= abs(rem):
-                m = j
-        p_m = R.power(m)[0][0]
-        k = -round(rem / p_m)
-        k = max(-kmax, min(kmax, k))
-        if k == 0:
-            k = -1 if rem * p_m > 0 else 1
+        while abs(levels[top][1]) > abs(rem):
+            top -= 1
+        m, p_m = levels[top]
+        q, r = divmod(2 * rem + p_m, 2 * p_m)  # floor(rem / p_m + 1/2)
+        k = max(-kmax, min(kmax, -(q - (r == 0 and q % 2))))  # a tie to even
         rem += k * p_m
-        digits[m] = (p_m, digits.get(m, (p_m, 0))[1] - k)
-    rows = tuple(
-        (m, pv, mult) for m, (pv, mult) in sorted(digits.items()) if mult != 0
-    )
-    total = sum(abs(mult) for _, _, mult in rows)
-    # Conservative constants: every digit contributes at most floor(|tau|)
-    # letters and the power index is at most log_tau(2|n|/|P_e|) + 1.
-    c2 = at * (1.0 + abs(p_c)) / math.log(at)
-    c3 = max(1.0, 2.0 / abs(p_e))
-    c1 = kmax * 2.0 + at
-    report = ExpansionReport(n=int(n), digits=rows, length=total, c1=c1, c2=c2, c3=c3)
-    # The expansion must be exact.
-    acc = sum(pv * mult for _, pv, mult in rows)
-    if acc != int(n):
-        raise ClaimViolation("expansion sums to %d, wanted %d" % (acc, n))
-    return report
+        digits[m] = digits.get(m, 0) - k
+    rows = tuple((m, entries[m], mult) for m, mult in sorted(digits.items()))
+    length = sum(abs(mult) for mult in digits.values())
+    acc = sum(pv * mult for _m, pv, mult in rows)
+    if acc != n or length > bound:
+        raise ClaimViolation("expansion of %d sums to %d with length %d, bound %d"
+                             % (n, acc, length, bound))
+    return ExpansionReport(n=n, digits=rows, length=length, bound=bound)
 
 
 # ---------------------------------------------------------------------------

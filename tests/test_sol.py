@@ -307,7 +307,9 @@ def exact_window_oracle(rows):
     t2 = tau * tau
 
     def floor(x):
-        n = math.floor(float(x.a) + float(x.b) * math.sqrt(disc))
+        # Start within 2 of a + b sqrt(disc), from integers of any size.
+        root = math.isqrt(math.floor(x.b * x.b * disc))
+        n = math.floor(x.a) + (root if x.b >= 0 else -root)
         while _Surd(n, 0, disc) > x:
             n -= 1
         while not _Surd(n + 1, 0, disc) > x:
@@ -357,6 +359,16 @@ class TestWindow:
         for z in sorted(vecs):
             want = oracle(z, ls)
             assert {l: gaps_window(z, l, R) for l in ls} == want, z
+
+    @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, R_SKEW],
+                             ids=["fix", "detm1", "skew"])
+    def test_huge_vectors_match_exact_oracle(self, rows):
+        """Vectors far past float range get the exact window too."""
+        R = HypMatrix(rows)
+        oracle, _c = exact_window_oracle(rows)
+        ls = (1, 2, 5, 40)
+        for z in ((10 ** 200, 3), (-7, 10 ** 180 + 1), (10 ** 150, 10 ** 150 - 1)):
+            assert {l: gaps_window(z, l, R) for l in ls} == oracle(z, ls), z
 
     def test_boundary_case_is_strict(self):
         """|tau|^2 D = 2 exactly at (14, 0), so l = 1 needs N = 3."""
@@ -577,20 +589,59 @@ class TestMinimalExtents:
             assert search.reach(x, y, 2) == want, (x, y)
 
 
+def float_greedy_digits(n, R):
+    """The digits of the float greedy integer_expansion replaced: powers up
+    to a float log estimate, k = round(rem / p_m) clamped to floor(|tau|)."""
+    eg = eigen_geometry(R)
+    at = abs(eg.tau)
+    det = eg.v_e[0] * eg.v_c[1] - eg.v_e[1] * eg.v_c[0]
+    p_e = eg.v_c[1] / det * eg.v_e[0]
+    p_c = -eg.v_e[1] / det * eg.v_c[0]
+    kmax = max(1, int(math.floor(at)))
+    digits = {}
+    rem = n
+    while rem != 0:
+        m_hi = int(math.log((abs(rem) + abs(p_c)) / abs(p_e)) / math.log(at)) + 2
+        m = 0
+        for j in range(m_hi + 1):
+            pj = R.power(j)[0][0]
+            if pj != 0 and abs(pj) <= abs(rem):
+                m = j
+        p_m = R.power(m)[0][0]
+        k = max(-kmax, min(kmax, -round(rem / p_m)))
+        if k == 0:
+            k = -1 if rem * p_m > 0 else 1
+        rem += k * p_m
+        digits[m] = (p_m, digits.get(m, (p_m, 0))[1] - k)
+    return tuple((m, pv, mult) for m, (pv, mult) in sorted(digits.items()) if mult)
+
+
+def admissible_matrices(lo, hi):
+    """Every admissible matrix with entries in [lo, hi]."""
+    out = []
+    for p, r, q, s in itertools.product(range(lo, hi + 1), repeat=4):
+        det, tr = p * s - q * r, p + s
+        if (det == 1 and abs(tr) >= 3) or (det == -1 and abs(tr) >= 1):
+            out.append([[p, r], [q, s]])
+    return out
+
+
 class TestExpansion:
     def test_zero(self):
         rep = integer_expansion(0, R_FIX)
-        assert rep.digits == () and rep.length == 0
+        assert rep.digits == () and rep.length == 0 == rep.bound
 
     def test_one(self):
         rep = integer_expansion(1, R_FIX)
         assert rep.digits == ((0, 1, 1),) and rep.length == 1
 
     def test_hundred(self):
+        """Entries 1, 2, 5, 13, 34, 89 are <= 100 and 233 is next:
+        bound 2 + 5 * 3."""
         rep = integer_expansion(100, R_FIX)
         assert rep.digits == ((0, 1, 1), (2, 5, 2), (5, 89, 1))
         assert sum(pv * mult for _m, pv, mult in rep.digits) == 100
-        assert rep.length == 4 <= rep.bound
+        assert rep.length == 4 and rep.bound == 17
 
     def test_exact_and_logarithmic_on_range(self):
         for n in range(-300, 301):
@@ -602,6 +653,31 @@ class TestExpansion:
         rep = integer_expansion(12345, R_FIX)
         for m, pv, _mult in rep.digits:
             assert R_FIX.power(m)[0][0] == pv
+        assert rep.bound == 32
+
+    @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, R_SKEW,
+                                      [[2, 1], [1, 0]], [[3, 1], [2, 1]]],
+                             ids=["fix", "detm1", "skew", "tr3_detm1", "tr4"])
+    def test_digits_match_the_float_greedy(self, rows):
+        R = HypMatrix(rows)
+        for n in range(-10 ** 4, 10 ** 4 + 1):
+            assert integer_expansion(n, R).digits == float_greedy_digits(n, R), n
+
+    def test_far_past_float_range(self):
+        n = 10 ** 400
+        rep = integer_expansion(n, R_FIX)
+        assert sum(pv * mult for _m, pv, mult in rep.digits) == n
+        assert (rep.length, rep.bound) == (641, 2873)
+
+    def test_every_small_matrix(self):
+        mats = admissible_matrices(-4, 4)
+        assert len(mats) == 200
+        for rows in mats:
+            R = HypMatrix(rows)
+            for n in range(-100, 101):
+                rep = integer_expansion(n, R)
+                assert sum(pv * mult for _m, pv, mult in rep.digits) == n, (rows, n)
+                assert rep.length <= rep.bound, (rows, n)
 
 
 class TestDistort:
