@@ -25,8 +25,9 @@ lamplighter length needs.  They come from an extents memo that runs the
 same strip recursion as the support enumeration but builds no supports.
 
 Digit expansions along the entries of R^m are chosen in integers and
-checked against an exact integer length bound.  Only eigen_geometry, on
-which no answer depends, is in floating point.
+checked against an exact integer length bound.  The one floating-point
+value is where the degree-window search starts (the math.log estimate
+from _log_t); the exact sign tests decide the window.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -51,8 +51,6 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Vec2 = tuple[int, int]
 # (i, j, z): plane part (i, j) and axis coordinate z.
 SolElement = tuple[int, int, int]
-
-_EPS = 1e-9
 
 
 class NotHyperbolic(DeadendError):
@@ -146,66 +144,6 @@ class HypMatrix:
 def char_poly(R: HypMatrix) -> "LaurentPoly":
     """t^2 - (tr R) t + det R, the relation every power of R satisfies."""
     return LaurentPoly.from_terms([(2, 1), (1, -R.trace), (0, R.det)])
-
-
-@dataclass(frozen=True)
-class EigenGeometry:
-    """Expanding/contracting eigenframe of R with distance helpers.
-
-    tau is the eigenvalue of larger modulus (|tau| > 1); v_e and v_c are
-    unit eigenvectors for tau and for det/tau.  d_c measures Euclidean
-    distance to the contracting line, d_e to the expanding line; R scales
-    them by |tau| and 1/|tau| respectively.
-    """
-
-    tau: float
-    v_e: tuple[float, float]
-    v_c: tuple[float, float]
-
-    def d_c(self, v: Sequence[float]) -> float:
-        return abs(self.v_c[0] * v[1] - self.v_c[1] * v[0])
-
-    def d_e(self, v: Sequence[float]) -> float:
-        return abs(self.v_e[0] * v[1] - self.v_e[1] * v[0])
-
-    def split(self, v: Sequence[float]) -> tuple[float, float]:
-        """Coefficients (z_e, z_c) with v = z_e v_e + z_c v_c."""
-        det = self.v_e[0] * self.v_c[1] - self.v_e[1] * self.v_c[0]
-        z_e = (v[0] * self.v_c[1] - v[1] * self.v_c[0]) / det
-        z_c = (self.v_e[0] * v[1] - self.v_e[1] * v[0]) / det
-        return (z_e, z_c)
-
-
-def _unit(v: tuple[float, float]) -> tuple[float, float]:
-    n = math.hypot(v[0], v[1])
-    return (v[0] / n, v[1] / n)
-
-
-def eigen_geometry(R: HypMatrix | Sequence[Sequence[int]]) -> EigenGeometry:
-    if not isinstance(R, HypMatrix):
-        R = HypMatrix(R)
-    return _eigen_cached(R)
-
-
-@lru_cache(maxsize=None)
-def _eigen_cached(R: HypMatrix) -> EigenGeometry:
-    tr, det = R.trace, R.det
-    disc = math.sqrt(tr * tr - 4 * det)
-    # Pick the root of larger modulus; signs agree with tr for det=1.
-    tau = (tr + disc) / 2.0 if tr >= 0 else (tr - disc) / 2.0
-    lam_c = det / tau
-
-    def eigvec(lam: float) -> tuple[float, float]:
-        p, r = R.rows[0]
-        q, s = R.rows[1]
-        if abs(r) > _EPS:
-            return _unit((float(r), lam - p))
-        if abs(q) > _EPS:
-            return _unit((lam - s, float(q)))
-        # Diagonal hyperbolic integer matrix: axes are the eigenlines.
-        return (1.0, 0.0) if abs(p - lam) < abs(s - lam) else (0.0, 1.0)
-
-    return EigenGeometry(tau=tau, v_e=eigvec(tau), v_c=eigvec(lam_c))
 
 
 @dataclass(frozen=True)
@@ -760,11 +698,6 @@ def gaps_window(zvec: Vec2, l: int, R: HypMatrix) -> int:
     if l <= 0:
         raise CapExceeded("no support of nonzero %r at length %d" % (zvec, l))
     return _support_search(R).window(zvec[0], zvec[1], l)
-
-
-def _reps_at_length(zvec: Vec2, R: HypMatrix, l: int) -> list[SupportVector]:
-    """All supports of zvec with total length exactly l."""
-    return _as_vectors(_support_search(R).reps(zvec[0], zvec[1], l))
 
 
 def _minimal_length(search: _SupportSearch, x: int, y: int, l_cap: int) -> int:

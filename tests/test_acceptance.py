@@ -5,7 +5,6 @@ line.  Tolerances: exact integers unless a test says otherwise.
 """
 
 import itertools
-import math
 import random
 import time
 
@@ -25,8 +24,8 @@ from deadends.sol import (
     HypMatrix,
     LaurentPoly,
     SupportVector,
+    _support_search,
     bdiff_gap,
-    eigen_geometry,
     gaps_window,
     integer_expansion,
     ll_length,
@@ -193,22 +192,51 @@ def test_criterion_08_euclidean_reduction():
           % (report.elements_checked, report.observed_gap, report.gap_bound))
 
 
+def _root_pow(a, b, n, disc):
+    """(x, y) with x + y sqrt(disc) = (a + b sqrt(disc))^n, for n >= 0."""
+    x, y = 1, 0
+    for _ in range(n):
+        x, y = x * a + y * b * disc, x * b + y * a
+    return x, y
+
+
 def test_criterion_09_eigen_scaling():
+    """The eigenline law of the Sol degree window, in integers.
+
+    The window reads the contracting projector P = (v + w(v) / sqrt(D)) / 2,
+    w = _SupportSearch._w, D = tr^2 - 4 det.  w(w(v)) = D v says P is a
+    projector.  P R^k v = lam^k P v, lam = (tr - sign(tr) sqrt(D)) / 2 the
+    contracting eigenvalue, says its image is the contracting line.  With
+    a + b sqrt(D) = 2^|k| lam^k, that is (2 lam)^k for k >= 0 and
+    (2 det tau)^|k| for k < 0 (lam tau = det), the law times 2^|k| 2 sqrt(D)
+    splits into the two integer equations below, since D is not a square.
+    I - P then scales by tau: its law is the same pair under
+    sqrt(D) -> -sqrt(D).
+    """
     rng = random.Random(99)
-    mats = ([[1, 1], [1, 0]], [[2, 1], [1, 0]], [[2, 1], [1, 1]], [[3, 1], [2, 1]])
+    mats = ([[1, 1], [1, 0]], [[2, 1], [1, 0]], [[2, 1], [1, 1]], [[3, 1], [2, 1]],
+            [[12, -109], [1, -9]], [[-2, 1], [1, -1]], [[-1, 1], [1, 0]])
     for rows in mats:
         R = HypMatrix(rows)
-        eg = eigen_geometry(R)
-        at = abs(eg.tau)
+        tr, det = R.trace, R.det
+        disc, sg = tr * tr - 4 * det, 1 if tr > 0 else -1
+        w = _support_search(R)._w
         for _ in range(100):
             v = (rng.randint(-50, 50), rng.randint(-50, 50))
-            rv = R.apply(1, v)
-            assert math.isclose(eg.d_c(rv), at * eg.d_c(v),
-                                rel_tol=1e-9, abs_tol=1e-12)
-            assert math.isclose(eg.d_e(rv), eg.d_e(v) / at,
-                                rel_tol=1e-9, abs_tol=1e-12)
-    print("ACCEPTANCE 9 PASS: d_c/d_e scaling laws to 1e-9 on 100 vectors "
-          "for traces 1,2,3,4")
+            wv = w(*v)
+            assert w(*wv) == (disc * v[0], disc * v[1])
+            for k in range(-3, 4):
+                n = abs(k)
+                a, b = _root_pow(tr, -sg, n, disc) if k >= 0 else \
+                    _root_pow(det * tr, det * sg, n, disc)
+                rv = R.apply(k, v)
+                wr = w(*rv)
+                for c in (0, 1):
+                    assert (wr[c] * 2 ** n, rv[c] * 2 ** n) == \
+                        (a * wv[c] + b * disc * v[c], a * v[c] + b * wv[c])
+    print("ACCEPTANCE 9 PASS: projector and eigenvalue laws exact in integers "
+          "on 100 vectors, k in -3..3, for %d matrices with traces %s"
+          % (len(mats), ",".join(str(r[0][0] + r[1][1]) for r in mats)))
 
 
 def test_criterion_10_property_battery(heis_group):

@@ -20,7 +20,6 @@ from deadends.sol import (
     WreathZ2Z,
     _extent,
     _minimal_extents,
-    _reps_at_length,
     _support_search,
     _sweep_length,
     abs_norm,
@@ -28,7 +27,6 @@ from deadends.sol import (
     bdiff_gap,
     char_poly,
     distort_witness,
-    eigen_geometry,
     gaps_window,
     integer_expansion,
     ll_length,
@@ -149,18 +147,23 @@ class TestLaurentPoly:
         assert LaurentPoly.from_json_obj(p.to_json_obj()) == p
 
     def test_involution_swaps_the_eigenvalues(self):
-        """p(t) -> p(det/t) numerically exchanges tau with det/tau."""
-        for rows in ([[2, 1], [1, 1]], [[1, 1], [1, 0]], [[3, 1], [2, 1]]):
+        """p(t) -> p(det/t) is evaluation at det R^-1, whose eigenvalues are
+        det/tau and tau swapped: the image of the characteristic polynomial
+        vanishes at R, and p.involution(det) at R is sum c det^d R^-d."""
+        p = poly((2, 3), (1, -1), (0, 2), (-1, 5))
+        for rows in ([[2, 1], [1, 1]], R_DETM1, [[3, 1], [2, 1]]):
             R = HypMatrix(rows)
-            eg = eigen_geometry(R)
-            lam_c = R.det / eg.tau
-            p = poly((2, 3), (1, -1), (0, 2), (-1, 5))
-            lhs = sum(c * eg.tau ** d for d, c in p.involution(R.det).terms)
-            rhs = sum(c * lam_c ** d for d, c in p.terms)
-            assert lhs == pytest.approx(rhs, rel=1e-9)
             bar_char = char_poly(R).involution(R.det)
-            assert sum(c * eg.tau ** d for d, c in bar_char.terms) == \
-                pytest.approx(0.0, abs=1e-9)
+            assert apply_poly(bar_char, ZERO, R) == (0, 0)
+            assert apply_poly(ZERO, bar_char, R) == (0, 0)
+            want = [[0, 0], [0, 0]]
+            for d, c in p.terms:
+                m = R.power(-d)
+                for i, j in itertools.product((0, 1), repeat=2):
+                    want[i][j] += c * R.det ** abs(d) * m[i][j]
+            bar = p.involution(R.det)
+            assert apply_poly(bar, ZERO, R) == (want[0][0], want[1][0])
+            assert apply_poly(ZERO, bar, R) == (want[0][1], want[1][1])
 
 
 class TestApplyPoly:
@@ -183,29 +186,8 @@ class TestApplyPoly:
 
 class TestEigen:
     def test_tau_golden(self):
-        assert eigen_geometry(R_FIX).tau == pytest.approx(
-            (3 + math.sqrt(5)) / 2, rel=1e-12)
-
-    def test_contracting_direction_has_zero_dc(self):
-        eg = eigen_geometry(R_FIX)
-        assert eg.d_c((10 * eg.v_c[0], 10 * eg.v_c[1])) == pytest.approx(0, abs=1e-9)
-
-    @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], [[1, 1], [1, 0]],
-                                      [[3, 1], [2, 1]], [[2, 1], [1, 0]]])
-    def test_scaling_laws(self, rows):
-        R = HypMatrix(rows)
-        eg = eigen_geometry(R)
-        at = abs(eg.tau)
-        for v in [(1, 0), (0, 1), (3, -2), (-7, 5), (12, 12)]:
-            rv = R.apply(1, v)
-            assert eg.d_c(rv) == pytest.approx(at * eg.d_c(v), rel=1e-9, abs=1e-12)
-            assert eg.d_e(rv) == pytest.approx(eg.d_e(v) / at, rel=1e-9, abs=1e-12)
-
-    def test_split_reassembles(self):
-        eg = eigen_geometry(R_FIX)
-        z_e, z_c = eg.split((5, -3))
-        assert z_e * eg.v_e[0] + z_c * eg.v_c[0] == pytest.approx(5, rel=1e-9)
-        assert z_e * eg.v_e[1] + z_c * eg.v_c[1] == pytest.approx(-3, rel=1e-9)
+        """2 tau^2 = 7 + 3 sqrt(5) for tau = (3 + sqrt(5)) / 2."""
+        assert _support_search(R_FIX)._tau_pow(1) == (7, 3)
 
 
 class TestMinimalReps:
@@ -222,7 +204,7 @@ class TestMinimalReps:
         assert minimal_reps((2, 1), R_FIX) == [SupportVector(poly((1, 1)), ZERO)]
 
     def test_exact_length_counts(self):
-        assert [len(_reps_at_length((2, 1), R_FIX, l)) for l in range(1, 6)] == \
+        assert [len(_support_search(R_FIX).reps(2, 1, l)) for l in range(1, 6)] == \
             [1, 3, 10, 61, 323]
 
     def test_cap_exceeded(self):
@@ -592,11 +574,15 @@ class TestMinimalExtents:
 def float_greedy_digits(n, R):
     """The digits of the float greedy integer_expansion replaced: powers up
     to a float log estimate, k = round(rem / p_m) clamped to floor(|tau|)."""
-    eg = eigen_geometry(R)
-    at = abs(eg.tau)
-    det = eg.v_e[0] * eg.v_c[1] - eg.v_e[1] * eg.v_c[0]
-    p_e = eg.v_c[1] / det * eg.v_e[0]
-    p_c = -eg.v_e[1] / det * eg.v_c[0]
+    tr, (p, r) = R.trace, R.rows[0]
+    disc = math.sqrt(tr * tr - 4 * R.det)
+    tau = (tr + disc) / 2.0 if tr >= 0 else (tr - disc) / 2.0
+    # Eigenvectors (r, lam - p); r != 0 for every admissible R.
+    v_e, v_c = (r, tau - p), (r, R.det / tau - p)
+    at = abs(tau)
+    det = v_e[0] * v_c[1] - v_e[1] * v_c[0]
+    p_e = v_c[1] / det * v_e[0]
+    p_c = -v_e[1] / det * v_c[0]
     kmax = max(1, int(math.floor(at)))
     digits = {}
     rem = n
