@@ -27,12 +27,11 @@ from .abelian import (
 )
 from .core import DeadendError, MarkedGroup
 from .geolang import Dfa, depth_bound_check, verify_language
-from .heis import HeisenbergGroup, _depth_bound_ceil, heis_family
+from .heis import ClosedFormIndex, HeisenbergGroup, _depth_bound_ceil, heis_family
 from .search import (
     BoundViolated,
     ClaimViolation,
     ResourceCap,
-    SplitIndex,
     ball,
     deadend_scan,
 )
@@ -173,8 +172,8 @@ def cmd_heis_family(
     """Distance/depth rows for the deep central elements, n = 3..n_max.
 
     Distances are exact out to top = min(radius, 4 n_max + 2), the largest
-    distance asked for, from the ball B(top - r1) and its sphere S(r1) with
-    r1 = min(4, top // 2) (a SplitIndex); radius sets each row's depth cap,
+    distance asked for, from the closed-form word length (a
+    ClosedFormIndex; no ball is built); radius sets each row's depth cap,
     radius - (4n + 2), as if a ball reached it.  A cap too small to
     certify a row's bound raises InsufficientRadius (exit 2) before any
     file is written.
@@ -186,9 +185,7 @@ def cmd_heis_family(
         if radius is None:
             radius = 4 * n_max + 2 + _depth_bound_ceil(n_max) + 1
         meta["radius"] = radius
-        top = min(radius, 4 * n_max + 2)
-        r1 = min(4, top // 2)
-        index = SplitIndex(ball(HeisenbergGroup(), top - r1), r1)
+        index = ClosedFormIndex(min(radius, 4 * n_max + 2))
         for n in range(3, n_max + 1):
             row = heis_family(n, index, cap=radius - (4 * n + 2))
             rows.append((row.n, row.distance, row.depth_lower_bound,

@@ -8,6 +8,8 @@ the commutator path (one counterclockwise unit square) having area +1.
 
 The family g_n = (0, 0, n^2 + 1) realizes unbounded dead-end depth: g_n
 lies at distance 4n + 2 and everything near it stays inside that radius.
+word_length gives every distance in closed form, and ClosedFormIndex
+serves it to depth as a distance oracle, so the family needs no ball.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, OutOfBox, Word
-from .search import BallIndex, ClaimViolation, DepthReport, InsufficientRadius, SplitIndex, depth
+from .search import BallIndex, ClaimViolation, DepthReport, InsufficientRadius, SplitIndex, _distance, depth
 
 HeisElement = tuple[int, int, int]
 
@@ -67,6 +69,69 @@ class HeisenbergGroup(MarkedGroup):
 
     def render(self, element) -> str:
         return "(%d,%d,%d)" % element
+
+
+def word_length(e: HeisElement) -> int:
+    """Exact word length of (i, j, k) over {a, b}, in integers only.
+
+    The closed form of S. Blachere, "Word distance on the discrete
+    Heisenberg group", Colloq. Math. 95 (2003), in rectangle form.  Take
+    matrix coordinates x = i, y = j, z = k + ij and fold by the length-
+    preserving maps x < 0 -> (-x, y, -z), then y < 0 -> (x, -y, -z), then
+    z < 0 -> (y, x, xy - z), so that x, y, z >= 0.  If z <= xy the length
+    is x + y; otherwise it is 2 min(W + H) - x - y over W >= x, H >= y with
+    WH >= z.  Both are symmetric in x and y, so the last fold need not swap.
+
+    The minimum needs two candidates.  As z > 0, H >= h = max(y, 1); let
+    c = ceil(z / h).  For W >= c the best H is h, and W + h grows with W,
+    so W = max(x, c) wins there.  For W < c the best H is ceil(z / W) > h,
+    and g(W) = W + ceil(z / W) steps by 1 - (ceil(z/W) - ceil(z/(W+1))).
+    As z/W - z/(W+1) = z / (W(W+1)), that step is <= 0 while W(W+1) < z
+    and >= 0 once W(W+1) >= z.  So g is non-increasing, then
+    non-decreasing, turning at s = isqrt(z) or s + 1.  Writing
+    z = s^2 + t with 0 <= t <= 2s gives g(s) = 2s + ceil(t / s) <=
+    2s + ceil((t + 1) / (s + 1)) = g(s + 1), so s is a least point too, and
+    the least value on [max(x, 1), c - 1] sits at s clamped into it.
+    """
+    x, y, k = e
+    z = k + x * y
+    if x < 0:
+        x, z = -x, -z
+    if y < 0:
+        y, z = -y, -z
+    if z < 0:
+        z = x * y - z
+    if z <= x * y:
+        return x + y
+    h = max(y, 1)
+    c = -(-z // h)
+    best = max(x, c) + h
+    w = min(max(math.isqrt(z), x), c - 1)
+    if w >= max(x, 1):
+        best = min(best, w - (-z // w))
+    return 2 * best - x - y
+
+
+class ClosedFormIndex:
+    """Exact Heisenberg distances out to radius, from word_length.
+
+    The oracle shape depth reads: group, radius, and get(e, default), which
+    gives default past radius, so distance raises NotInBall there just as a
+    ball of that radius would.  Nothing is stored.
+    """
+
+    def __init__(self, radius: int):
+        if radius < 0:
+            raise DeadendError("radius must be nonnegative")
+        self.group = HeisenbergGroup()
+        self.radius = radius
+
+    def get(self, element, default=None):
+        d = word_length(element)
+        return d if d <= self.radius else default
+
+    def distance(self, element) -> int:
+        return _distance(self, element)
 
 
 def word_area_normal(w: Word) -> HeisElement:
@@ -241,8 +306,12 @@ def rederived_depth_bound(n: int) -> int:
     return m + 1
 
 
-def heis_family(n: int, index: BallIndex | SplitIndex, cap: Optional[int] = None) -> HeisFamilyRow:
-    """Check the n-th deep element against the oracle.
+def heis_family(n: int, index: ClosedFormIndex | BallIndex | SplitIndex,
+                cap: Optional[int] = None) -> HeisFamilyRow:
+    """Check the n-th deep element against a distance oracle.
+
+    The CLI passes the closed-form ClosedFormIndex; a ball or split index
+    over HeisenbergGroup gives the same row up to its radius.
 
     Asserts distance 4n + 2 exactly and depth at least the integer bound;
     also re-derives a depth lower bound from the witness words alone.

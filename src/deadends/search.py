@@ -39,8 +39,12 @@ Given the ball B(r2) with r1 <= r2, the minimum is read off the table
 whenever it is at most r2, which gives |h| exactly up to r1 + r2 and
 "farther than r1 + r2" past it.  Only an element outside B(r2), hence
 with |h| > r2 >= r1, walks the sphere words.  A weighted geodesic can
-step over the sphere, so a weighted group is refused.  depth reads
-distances through index.get and so runs unchanged on either index.
+step over the sphere, so a weighted group is refused.
+
+depth reads distances only through index.group, index.radius and
+index.get(e, default), so it runs unchanged on any of three oracles: a
+BallIndex, a SplitIndex, or heis.ClosedFormIndex, which computes
+Heisenberg distances in closed form and stores nothing.
 """
 
 from __future__ import annotations
@@ -349,10 +353,12 @@ class DepthReport:
 def depth(group: MarkedGroup, element, index: BallIndex | SplitIndex, cap: int) -> DepthReport:
     """Distance from element to the nearest strictly-farther element.
 
-    index is any exact distance oracle: a BallIndex, or a SplitIndex whose
+    index is any exact distance oracle: a BallIndex; a SplitIndex whose
     ball B(r2) and sphere S(r1), with unit weights and r1 <= r2, answer
-    exactly up to radius r1 + r2.  Distances are read through index.get,
-    which gives the default past index.radius, so both share this loop.
+    exactly up to radius r1 + r2; or a heis.ClosedFormIndex, exact up to
+    its radius by the Heisenberg closed form.  Distances are read through
+    index.get, which gives the default past index.radius, so all three
+    share this loop.
 
     Needs only d0 = d(1,element) <= index.radius, and any cap >= 1.  The
     search is not confined to the oracle's reach: an element past it lies

@@ -23,6 +23,11 @@ def heis_ball22(heis_group):
 
 
 @pytest.fixture(scope="session")
+def heis_ball26(heis_group):
+    return ball(heis_group, 26)  # 4 n_max + 2 at n_max 6
+
+
+@pytest.fixture(scope="session")
 def sol_group():
     return SolGroup(R_FIX)
 

@@ -27,11 +27,6 @@ EUC = {"kind": "euclidean", "n": 2,
 WREATH = {"kind": "wreath_z2_z"}
 
 
-@pytest.fixture(scope="module")
-def heis_ball26():
-    return ball(HeisenbergGroup(), 26)  # 4 n_max + 2 at n_max 6
-
-
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
@@ -137,9 +132,9 @@ class TestHeisFamily:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_rows_match_the_full_radius_ball(self, tmp_path, extra):
-        # the CLI reads distances only to 4 n_max + 2 = 18, from a split
-        # over B(14) and S(4); its rows must equal those read off a ball
-        # built to the full radius
+        # the CLI reads distances only to 4 n_max + 2 = 18, from the closed
+        # form; its rows must equal those read off a ball built to the full
+        # radius
         radius = 22 + extra
         argv = ["heis-family", "--n-max", "4", "--out", str(tmp_path),
                 "--format", "json"]
@@ -159,8 +154,8 @@ class TestHeisFamily:
 
     @pytest.mark.parametrize("radius", [None, 26, 27, 40], ids=["default", "26", "27", "40"])
     def test_n6_rows_match_the_full_ball(self, tmp_path, capsys, heis_ball26, radius):
-        # the CLI reads distances from a split over B(22) and S(4); its CSV,
-        # exit code and stderr must equal those of the full ball B(26)
+        # the CLI reads distances from the closed form; its CSV, exit code
+        # and stderr must equal those of the full ball B(26)
         # (radius 26 gives n=6 a cap of 0)
         argv = ["heis-family", "--n-max", "6", "--out", str(tmp_path)]
         if radius is None:
@@ -204,6 +199,16 @@ class TestHeisFamily:
         assert main(["heis-family", "--n-max", "6", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "heis_family.csv").read_bytes()).hexdigest() == \
             "fc5c65a6534a6a3e7d2a846d6843ca657656c153ae7205cbcf4dd622c815a234"
+
+    def test_deep_rows_past_any_affordable_ball(self, tmp_path):
+        # distances out to 50 from the closed form; a ball would need B(46)
+        # even split over S(4)
+        assert main(["heis-family", "--n-max", "12", "--radius", "63",
+                     "--out", str(tmp_path)]) == 0
+        rows = [r.split(",") for r in lines_of(tmp_path / "heis_family.csv")[1:]]
+        assert [int(r[0]) for r in rows] == list(range(3, 13))
+        assert [int(r[1]) for r in rows] == [4 * n + 2 for n in range(3, 13)]
+        assert [r[3] for r in rows] == ["7", "7", "9", "9", "11", "11", "11", "13", "13", "13"]
 
     def test_small_n_max_is_empty(self, tmp_path):
         assert main(["heis-family", "--n-max", "2", "--out", str(tmp_path)]) == 0

@@ -4,13 +4,14 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadends import heis
 from deadends.core import OutOfBox, Word
 from deadends.heis import (
     _SYMMETRIES,
+    ClosedFormIndex,
     HeisFamilyRow,
     dd_witness,
     heis_family,
@@ -21,8 +22,18 @@ from deadends.heis import (
     nh_box,
     rederived_depth_bound,
     word_area_normal,
+    word_length,
 )
-from deadends.search import BallIndex, ClaimViolation, InsufficientRadius, SplitIndex, ball
+from deadends.core import DeadendError
+from deadends.search import (
+    BallIndex,
+    ClaimViolation,
+    InsufficientRadius,
+    NotInBall,
+    SplitIndex,
+    ball,
+    depth,
+)
 
 A, B = (0, 1), (1, 1)
 
@@ -63,6 +74,68 @@ class TestNormalForm:
     def test_mul_is_evaluation_of_concatenation(self, heis_group, u, v):
         lhs = heis_mul(heis_group.evaluate(u), heis_group.evaluate(v))
         assert lhs == heis_group.evaluate(u + v)
+
+
+BIG = 10 ** 6
+# the second shape keeps z = k + ij near ij, where the minimum over the
+# rectangle is interior rather than at W = ceil(z / y)
+big_elements = st.one_of(
+    st.tuples(*[st.integers(-BIG, BIG)] * 3),
+    st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(-BIG, BIG)))
+
+
+class TestWordLength:
+    # the ball is the independent oracle; past any ball, three properties
+    # pin the word metric down: 0 at the identity, every neighbour one
+    # step off, and a neighbour one step nearer everywhere else
+    def test_equals_the_ball(self, heis_group, heis_ball22):
+        assert len(heis_ball22) == 99_689
+        outside = set()
+        for e, d in heis_ball22.table.items():
+            assert word_length(e) == d, e
+            if d == 22:
+                outside.update(n for n in heis_group.neighbours(e) if n not in heis_ball22)
+        assert outside and {word_length(e) for e in outside} == {23}
+
+    def test_index_reads_like_the_ball(self, heis_ball22):
+        index = ClosedFormIndex(22)
+        assert (index.radius, index.group.render((1, 2, 3))) == (22, "(1,2,3)")
+        assert index.get((0, 0, 5)) == index.distance((0, 0, 5)) == 10
+        far = (0, 0, 31)  # 2 * ceil(2 sqrt(31)) = 24
+        assert word_length(far) == 24
+        assert index.get(far) is None and index.get(far, 23) == 23
+        with pytest.raises(NotInBall) as from_ball:
+            heis_ball22.distance(far)
+        with pytest.raises(NotInBall) as from_closed_form:
+            index.distance(far)
+        assert str(from_closed_form.value) == str(from_ball.value) == \
+            "element (0,0,31) not within radius 22"
+
+    def test_negative_radius_is_refused(self):
+        with pytest.raises(DeadendError, match="radius must be nonnegative"):
+            ClosedFormIndex(-1)
+
+    def test_identity(self, heis_group):
+        assert word_length(heis_group.identity) == 0
+
+    @settings(max_examples=2000)
+    @given(big_elements)
+    def test_neighbours_one_step_off_and_one_nearer(self, heis_group, e):
+        d = word_length(e)
+        steps = [word_length(n) - d for n in heis_group.neighbours(e)]
+        assert set(steps) <= {-1, 1}
+        assert -1 in steps or e == heis_group.identity
+
+    @settings(max_examples=2000)
+    @given(big_elements)
+    def test_invariant_under_inverse_and_symmetries(self, e):
+        d = word_length(e)
+        assert word_length(heis_inverse(e)) == d
+        assert {word_length(sym.on_element(e)) for sym in _SYMMETRIES} == {d}
+
+    @given(st.integers(1, 1000))
+    def test_family_distance(self, n):
+        assert word_length((0, 0, n * n + 1)) == 4 * n + 2 == len(dd_witness(n))
 
 
 class TestSymmetries:
@@ -208,10 +281,10 @@ class TestFamily:
         assert (row.n, row.distance, row.depth_lower_bound) == (4, 18, 3)
         assert row.bfs_depth == 5 and row.bfs_depth_exceeds_cap
 
-    def test_cap_short_of_the_bound_is_insufficient_radius(self, heis_group):
+    def test_cap_short_of_the_bound_is_insufficient_radius(self, heis_ball26):
         # cap 1 finds nothing farther, so it certifies only depth >= 2 < 4
         with pytest.raises(InsufficientRadius, match="n=6.*capped at 1.*radius >= 29"):
-            heis_family(6, ball(heis_group, 26), cap=1)
+            heis_family(6, heis_ball26, cap=1)
 
     def test_cap_zero_is_insufficient_radius_without_a_search(self, heis_group, monkeypatch):
         monkeypatch.setattr(heis, "depth", None)  # any call would fail
@@ -234,3 +307,13 @@ class TestFamily:
     def test_family_rejects_small_n(self, heis_ball22):
         with pytest.raises(OutOfBox):
             heis_family(2, heis_ball22)
+
+    @pytest.mark.parametrize("n, expected", [(3, 7), (4, 7), (5, 9), (6, 9)])
+    def test_closed_form_depths_equal_the_ball(self, heis_group, heis_ball22,
+                                               heis_ball26, n, expected):
+        # exact depths: neither search reaches its cap of 12
+        full = heis_ball22 if n <= 5 else heis_ball26
+        g = (0, 0, n * n + 1)
+        rep = depth(heis_group, g, ClosedFormIndex(4 * n + 2), cap=12)
+        assert rep == depth(heis_group, g, full, cap=12)
+        assert (rep.depth, rep.exceeds_cap) == (expected, False)
