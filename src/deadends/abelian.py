@@ -253,21 +253,14 @@ def build_polytope(ws: WeightedGenSet) -> ScaledPolytope:
         raise DegenerateHull("scaled generators span rank < %d" % ws.n)
 
     facets: dict = {}
-    if ws.n == 1:
-        ext = max(p[0] for p in points)
-        for sgn in (1, -1):
-            a = (Fraction(sgn, ext),)
-            verts = tuple(sorted(p for p in points if a[0] * p[0] == 1))
-            facets[a] = Facet(verts, a)
-    else:
-        for combo in itertools.combinations(points, ws.n):
-            a = _solve_functional(list(combo))
-            if a is None:
-                continue
-            vals = [sum(ai * ci for ai, ci in zip(a, p)) for p in points]
-            if all(v <= 1 for v in vals):
-                verts = tuple(sorted(p for p, v in zip(points, vals) if v == 1))
-                facets.setdefault(a, Facet(verts, a))
+    for combo in itertools.combinations(points, ws.n):
+        a = _solve_functional(list(combo))
+        if a is None:
+            continue
+        vals = [sum(ai * ci for ai, ci in zip(a, p)) for p in points]
+        if all(v <= 1 for v in vals):
+            verts = tuple(sorted(p for p, v in zip(points, vals) if v == 1))
+            facets.setdefault(a, Facet(verts, a))
     out = sorted(facets.values(), key=lambda f: f.functional)
     return ScaledPolytope(M, scaled, tuple(points), tuple(out))
 
@@ -343,10 +336,6 @@ def _fan_triangulate(facet: Facet, n: int) -> list[tuple[Vec, ...]]:
 
 def _parallelepiped_points(basis: Sequence[Vec], n: int) -> list[Vec]:
     """Integer points x = sum t_i b_i with all t_i in [0, 1], exactly."""
-    if n == 1:
-        b = basis[0][0]
-        lo, hi = min(0, b), max(0, b)
-        return [(x,) for x in range(lo, hi + 1)]
     # invert the basis matrix (columns are the generators)
     mat, pivots, _ = _row_reduce([[basis[j][r] for j in range(n)] + [int(r == c) for c in range(n)]
                                   for r in range(n)])

@@ -171,12 +171,11 @@ def cmd_heis_family(
 ) -> int:
     """Distance/depth rows for the deep central elements, n = 3..n_max.
 
-    Distances are exact out to top = min(radius, 4 n_max + 2), the largest
-    distance asked for, from the closed-form word length (a
-    ClosedFormIndex; no ball is built); radius sets each row's depth cap,
-    radius - (4n + 2), as if a ball reached it.  A cap too small to
-    certify a row's bound raises InsufficientRadius (exit 2) before any
-    file is written.
+    Distances are exact out to radius, from the closed-form word length
+    (a ClosedFormIndex; no ball is built), and each row's depth search is
+    capped at radius - (4n + 2), just as on a ball of that radius.  A cap
+    too small to certify a row's bound raises InsufficientRadius (exit 2)
+    before any file is written.
     """
     header = ("n", "distance", "depth_bound", "bfs_depth")
     rows: list[tuple[int, int, int, str]] = []
@@ -185,9 +184,9 @@ def cmd_heis_family(
         if radius is None:
             radius = 4 * n_max + 2 + _depth_bound_ceil(n_max) + 1
         meta["radius"] = radius
-        index = ClosedFormIndex(min(radius, 4 * n_max + 2))
+        index = ClosedFormIndex(radius)
         for n in range(3, n_max + 1):
-            row = heis_family(n, index, cap=radius - (4 * n + 2))
+            row = heis_family(n, index)
             rows.append((row.n, row.distance, row.depth_lower_bound,
                          _depth_cell(row.bfs_depth, row.bfs_depth_exceeds_cap)))
     out_dir = Path(out)

@@ -165,24 +165,12 @@ class VerifyReport:
         return self.sound and self.complete
 
 
-def _co_accessible(dfa: Dfa) -> set[int]:
-    """States from which some accept state is reachable."""
-    rev: dict[int, set[int]] = {}
-    for (s, _lt), s2 in dfa.trans.items():
-        rev.setdefault(s2, set()).add(s)
-    alive = set(dfa.accept)
-    frontier = deque(alive)
-    while frontier:
-        s = frontier.popleft()
-        for p in rev.get(s, ()):
-            if p not in alive:
-                alive.add(p)
-                frontier.append(p)
-    return alive
+def _suffix_to_accept(dfa: Dfa) -> dict[int, Word]:
+    """Shortest word to acceptance from each state that has one.
 
-
-def _suffix_to_accept(dfa: Dfa, alive: set[int]) -> dict[int, Word]:
-    """Shortest word from each co-accessible state to acceptance."""
+    A backward breadth-first walk from the accept states, so its keys are
+    exactly the co-accessible (live) states.
+    """
     out: dict[int, Word] = {s: Word(()) for s in dfa.accept}
     frontier = deque(dfa.accept)
     index: dict[int, list[tuple[Letter, int]]] = {}
@@ -191,7 +179,7 @@ def _suffix_to_accept(dfa: Dfa, alive: set[int]) -> dict[int, Word]:
     while frontier:
         s = frontier.popleft()
         for lt, p in index.get(s, ()):
-            if p in alive and p not in out:
+            if p not in out:
                 out[p] = Word((lt,)) + out[s]
                 frontier.append(p)
     return out
@@ -232,8 +220,8 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
             "verify_language needs unit letter weights: the pumping bound is "
             "stated for word length, and %s has letter weights %s"
             % (type(group).__name__, sorted({w for _lt, w in group.weighted_letters})))
-    alive = _co_accessible(dfa)
-    suffixes = _suffix_to_accept(dfa, alive)
+    suffixes = _suffix_to_accept(dfa)
+    alive = suffixes.keys()
     letters = group.alphabet.signed_letters()  # neighbours() order
     position = {lt: i for i, lt in enumerate(letters)}
     # state -> [(letter position, next-state bit)], lowest state first

@@ -41,6 +41,14 @@ whenever it is at most r2, which gives |h| exactly up to r1 + r2 and
 with |h| > r2 >= r1, walks the sphere words.  A weighted geodesic can
 step over the sphere, so a weighted group is refused.
 
+The transfer path (function_depth, local_max_from_slack,
+depth_transfer_check) reads tables defined on the ball only, so it cannot
+count an element past the ball as farther the way depth does.  It keeps a
+room rule instead: a search from an element at distance d0 runs to a cap
+of at most radius - d0, the room, and a larger cap raises
+InsufficientRadius.  Within the room every element the search meets, and
+every geodesic to it, lies in the ball, so the answer is exact.
+
 depth reads distances only through index.group, index.radius and
 index.get(e, default), so it runs unchanged on any of three oracles: a
 BallIndex, a SplitIndex, or heis.ClosedFormIndex, which computes
@@ -302,12 +310,11 @@ class SplitIndex:
         return self.r1 + min(near) if near else default
 
 
-def _uniform_cost(group: MarkedGroup, start, cap, inside: Optional[dict] = None):
+def _uniform_cost(group: MarkedGroup, start, cap):
     """Yield (distance, element) for everything within cap of start.
 
     Uniform-cost search settling each node once, in (distance, element)
-    order, so the output never depends on hash seeds.  Only steps whose
-    target is in inside are taken; with None, every step is.
+    order, so the output never depends on hash seeds.
     """
     step = group.apply_letter
     letters = group.weighted_letters
@@ -323,7 +330,7 @@ def _uniform_cost(group: MarkedGroup, start, cap, inside: Optional[dict] = None)
             if nd > cap:
                 continue
             n = step(e, lt)
-            if (inside is None or n in inside) and nd < best.get(n, nd + 1):
+            if nd < best.get(n, nd + 1):
                 best[n] = nd
                 heappush(heap, (nd, n))
 
@@ -481,11 +488,6 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
     return out
 
 
-def _distance_layers(index: BallIndex, a, r: int) -> dict:
-    """element -> word-metric distance from a, for everything within r of a."""
-    return {e: d for d, e in _uniform_cost(index.group, a, r, index.table)}
-
-
 def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
     """From bounded slack to a local maximum.
 
@@ -507,7 +509,7 @@ def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
         raise InsufficientRadius("need radius >= %d for slack window r=%d" % (d0 + r, r))
     width = r // max(n, 1)
     probe = min(r + width, index.radius - d0)
-    layers = _distance_layers(index, a, probe)
+    layers = {e: d for d, e in _uniform_cost(index.group, a, probe)}
     fa = f[a]
     worst = max(f[e] - fa for e, d in layers.items() if d <= r)
     if worst > n:
@@ -553,9 +555,17 @@ def function_depth(index: BallIndex, f: dict, element, cap: int):
     """Depth of element with respect to an arbitrary distance-like table f:
     word-metric distance to the nearest element with a strictly larger f
     value.  Returns (depth, exceeded) where exceeded means nothing larger
-    was found within cap (depth is then the lower bound cap+1)."""
+    was found within cap (depth is then the lower bound cap+1).
+
+    f is defined on the ball only, so unlike depth the search cannot run
+    past it: the cap must fit in the room, index.radius - d(element), and
+    a larger cap raises InsufficientRadius (module docstring).
+    """
+    d0 = index.distance(element)
+    if cap > index.radius - d0:
+        raise InsufficientRadius("need radius >= %d for function depth cap %d" % (d0 + cap, cap))
     f0 = f[element]
-    for d, e in _uniform_cost(index.group, element, cap, index.table):
+    for d, e in _uniform_cost(index.group, element, cap):
         if f[e] > f0:
             return d, False
     return cap + 1, True
@@ -568,7 +578,9 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
     Requires |d1 - d2| < C pointwise.  Every element whose d1-depth D is at
     least max(C+1, min_source_depth) yields a d2 local maximum via the slack
     construction on the (D - C)-ball; the report row records the certified
-    d2-depth lower bound.
+    d2-depth lower bound.  Every search keeps within the room of its source
+    (module docstring): D is found with cap radius - d0, and D - C <= that
+    cap since D <= cap + 1 and C >= 1.
     """
     if C < 1:
         raise DeadendError("C must be >= 1")
@@ -592,8 +604,7 @@ def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
         r = D - C
         if r < 1:
             continue
-        layers = _distance_layers(index, e, r)
-        slack = max(d2[x] - d2[e] for x in layers)
+        slack = max(d2[x] - d2[e] for _d, x in _uniform_cost(index.group, e, r))
         if slack <= 0:
             target, s = e, r
         else:

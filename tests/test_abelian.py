@@ -122,6 +122,11 @@ class TestPolytope:
         poly = build_polytope(standard_zn(1).ws)
         assert len(poly.facets) == 2
         assert {f.vertices for f in poly.facets} == {((1,),), ((-1,),)}
+        # (2,) and (3,) at weight 1: the longer generator bounds the hull
+        poly = build_polytope(WeightedGenSet(1, (((2,), 1), ((3,), 1))))
+        assert poly.M == 1 and poly.points == ((2,), (-2,), (3,), (-3,))
+        assert [(f.vertices, f.functional) for f in poly.facets] == [
+            (((-3,),), (Fraction(-1, 3),)), (((3,),), (Fraction(1, 3),))]
 
     def test_rank_4_unsupported(self):
         ws = standard_zn(4).ws
@@ -193,6 +198,8 @@ class TestRowReduce:
         ([(1, 1, 0), (0, 1, 1), (2, 0, 1)], 3),
         ([(2, 1, 0), (0, 1, 1), (1, 0, 2)], 5),
         ([(1, 0, 0), (0, 1, 0), (1, 1, 3)], 3),
+        ([(3,)], 3),
+        ([(-2,)], -2),
     ])
     def test_parallelepiped_matches_fraction_reference(self, basis, det):
         # Cramer's rule over Fraction: t_j = det(basis with x for row j) / det

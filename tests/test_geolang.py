@@ -14,7 +14,6 @@ from deadends.geolang import (
     FreeGroup,
     SoundnessUnverified,
     TooShort,
-    _co_accessible,
     _suffix_to_accept,
     builtin_dfas,
     depth_bound_check,
@@ -95,8 +94,19 @@ def reference_verify(dfa, group, index):
     words_checked, elements_covered, counterexample_word,
     counterexample_element).
     """
-    alive = _co_accessible(dfa)
-    suffixes = _suffix_to_accept(dfa, alive)
+    # the co-accessible states, by a backward walk of its own
+    rev = {}
+    for (s, _lt), s2 in dfa.trans.items():
+        rev.setdefault(s2, set()).add(s)
+    alive = set(dfa.accept)
+    frontier = list(alive)
+    while frontier:
+        for p in rev.get(frontier.pop(), ()):
+            if p not in alive:
+                alive.add(p)
+                frontier.append(p)
+    suffixes = _suffix_to_accept(dfa)
+    assert set(suffixes) == alive  # verify_language takes these keys as its live states
     moves = {s: [(lt, s2) for lt in dfa.alphabet.signed_letters()
                  if (s2 := dfa.step(s, lt)) in alive] for s in alive}
     table = index.table

@@ -1,6 +1,7 @@
 """Ball oracle, depth, dead-end scan, and the metric-perturbation lemmas."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -9,7 +10,7 @@ from deadends import search
 from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
 from deadends.core import DeadendError
 from deadends.geolang import FreeGroup
-from deadends.heis import HeisenbergGroup, heis_inverse
+from deadends.heis import HeisenbergGroup, heis_inverse, heis_mul, word_length
 from deadends.search import (
     BallIndex,
     BoundViolated,
@@ -703,13 +704,42 @@ class TestDepthTransfer:
         assert depth_transfer_check(idx, d, d, 1).rows == expected
 
     def test_function_depth_stays_in_the_index(self):
-        # f is defined on the ball only; a cap past the room must not
-        # step outside it.
+        # f is defined on the ball only, so a cap past the room,
+        # radius - d(element), raises instead of stepping outside it.
         g = standard_zn(1)
         idx = ball(g, 4)
         d = {e: dd for e, dd in idx.items_sorted()}
-        assert function_depth(idx, d, (4,), 3) == (4, True)
-        assert function_depth(idx, d, (2,), 3) == (1, False)
+        for element, cap in (((4,), 3), ((4,), 1), ((2,), 3)):
+            with pytest.raises(InsufficientRadius):
+                function_depth(idx, d, element, cap)
+        assert function_depth(idx, d, (2,), 2) == (1, False)
+
+    def test_function_depth_past_the_room_raises(self):
+        # (4,0,-1) lies 4 from (6,0,0), but every geodesic between them
+        # leaves B(6): a search confined to the ball answered (5, True),
+        # "nothing higher within 4".  The cap exceeds the room of 0.
+        idx = ball(HeisenbergGroup(), 6)
+        source, higher = (6, 0, 0), (4, 0, -1)
+        assert word_length(heis_mul(heis_inverse(source), higher)) == 4
+        f = {e: int(e == higher) for e in idx.table}
+        with pytest.raises(InsufficientRadius):
+            function_depth(idx, f, source, 4)
+
+    def test_function_depth_within_the_room_is_exact(self):
+        # cap = room: the answer is the nearest strictly higher element
+        # over the whole group, by the closed-form word length.
+        idx = ball(HeisenbergGroup(), 8)
+        inner = [e for e, dd in idx.items_sorted() if dd < idx.radius]
+        rng = random.Random(23)
+        for _ in range(60):
+            source = rng.choice(inner)
+            f = {e: int(rng.random() < 0.02) for e in idx.table}
+            f[source] = 0
+            cap = idx.radius - idx.distance(source)
+            nearest = min((word_length(heis_mul(heis_inverse(source), y))
+                           for y, v in f.items() if v), default=cap + 1)
+            want = (nearest, False) if nearest <= cap else (cap + 1, True)
+            assert function_depth(idx, f, source, cap) == want
 
     def test_weighted_sources_are_kept(self):
         # One generator of weight 2: every element has a farther neighbour,
