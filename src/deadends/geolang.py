@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import Any, Optional, Sequence
 
 from .core import (
@@ -188,29 +190,31 @@ def _suffix_to_accept(dfa: Dfa) -> dict[int, Word]:
 def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyReport:
     """Certify the accepted language as geodesic and onto, up to the radius.
 
-    Runs a layered search on the product of the trimmed automaton and the
-    Cayley graph.  Layer d maps each element to the bit mask of the live
-    states that reach it by a word of length d, kept only where d is the
-    element's distance.  Soundness fails if a move reaches an element
-    whose distance is not its depth: trimming leaves only states that
-    extend to acceptance, so the extension is a non-geodesic accepted
+    Runs a breadth-first search on the product of the trimmed automaton and
+    the Cayley graph.  One dict, keyed by the table's own keys, maps each
+    ball element to the bit mask of the live states that reach it by a
+    word as long as its distance.  Soundness fails if a move reaches an
+    element whose distance is not its depth: trimming leaves only states
+    that extend to acceptance, so the extension is a non-geodesic accepted
     word.  Completeness fails if some ball element is never realized at
     its exact distance by an accepted word.
 
     A word reaches an element only at a depth at least its distance, so a
     product state reached again at a larger depth lands on an element
     whose distance is not that depth, and the distance check convicts it;
-    no revisit test is needed.  Each element sits in the layer of its own
-    distance only, so the search keeps at most one mask per ball element
-    and its memory is bounded by the ball.  Per element it makes one
+    no revisit test is needed.  A move sets bits one sphere out only, so
+    one pass over the table in distance order (else DeadendError) expands
+    each element below the radius with its final mask.  A store keeps the
+    table's key, so the search holds no copy of the ball's elements and
+    its memory is bounded by the ball.  Per element it makes one
     group.neighbours call, and per live move (letter position, next-state
     bit) of each state in the mask one table lookup.
 
-    The counterexample word is rebuilt from the first failing move: walk
-    back through the kept layers through the inverse letter, trying
-    letters in canonical order and then the lowest state, then append the
-    failing letter and the shortest suffix to acceptance.  The uncovered
-    element reported is the least by (distance, element).
+    The counterexample word is rebuilt from the first failing move in
+    table order: walk back a sphere at a time through the inverse letter,
+    trying letters in canonical order and then the lowest state, then
+    append the failing letter and the shortest suffix to acceptance.  The
+    uncovered element reported is the least by (distance, element).
 
     Refuses a weighted group: the pumping bound is stated for word length,
     and a word's length is not its weight.
@@ -229,54 +233,62 @@ def verify_language(dfa: Dfa, group: MarkedGroup, index: BallIndex) -> VerifyRep
                  for lt in dfa.alphabet.signed_letters() if (s2 := dfa.step(s, lt)) in alive]
              for s in sorted(alive)}
     accept_bits = sum(1 << s for s in dfa.accept)
+    radius = index.radius
     table = index.table
     get = table.get
     neighbours = group.neighbours
-    # layers[d]: element at distance d -> mask of the states reaching it at depth d
-    layers: list[dict] = [{group.identity: 1 << dfa.start} if dfa.start in alive else {}]
+    # element -> mask of the live states reaching it at depth = its distance
+    masks = dict.fromkeys(table, 0)
+    masks[group.identity] = 1 << dfa.start if dfa.start in alive else 0
     # (depth, element, state, letter position, next-state bit) of the first failing move
     failure: Optional[tuple[int, Any, int, int, int]] = None
     words_checked = 0
-    for d in range(1, index.radius + 1):
-        nxt: dict = {}
-        for e, mask in layers[-1].items():
-            nbrs = neighbours(e)
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                s = low.bit_length() - 1
-                live = moves[s]
-                words_checked += len(live)
-                for pos, bit in live:
-                    e2 = nbrs[pos]
-                    dist = get(e2)
-                    if dist == d:
-                        nxt[e2] = nxt.get(e2, 0) | bit
-                    elif dist is None:  # words can't outrun the ball
-                        index.distance(e2)  # raises NotInBall
-                    elif failure is None:
-                        failure = (d - 1, e, s, pos, bit)
-        layers.append(nxt)
+    values = table.values()
+    if not all(map(le, values, islice(values, 1, None))):
+        raise DeadendError("verify_language needs the ball table in distance order")
+    for (e, d), mask in zip(table.items(), masks.values()):
+        if d >= radius:
+            break  # the radius sphere closes the table and is never expanded
+        if not mask:
+            continue
+        nxt = d + 1
+        nbrs = neighbours(e)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            s = low.bit_length() - 1
+            live = moves[s]
+            words_checked += len(live)
+            for pos, bit in live:
+                e2 = nbrs[pos]
+                dist = get(e2)
+                if dist == nxt:
+                    masks[e2] |= bit
+                elif dist is None:  # words can't outrun the ball
+                    index.distance(e2)  # raises NotInBall
+                elif failure is None:
+                    failure = (d, e, s, pos, bit)
     counter_word: Optional[Word] = None
     if failure is not None:
         d, e, s, pos, bit = failure
         tail = [letters[pos]]
-        for layer in reversed(layers[:d]):
+        for d0 in range(d - 1, -1, -1):
             e, s, lt = next((e0, p, lt) for lt in letters
-                            if (e0 := group.apply_letter(e, (lt[0], -lt[1]))) in layer
-                            for p in moves if layer[e0] >> p & 1 and dfa.step(p, lt) == s)
+                            if get(e0 := group.apply_letter(e, (lt[0], -lt[1]))) == d0
+                            for p in moves if masks[e0] >> p & 1 and dfa.step(p, lt) == s)
             tail.append(lt)
         counter_word = Word(tuple(reversed(tail))) + suffixes[bit.bit_length() - 1]
-    covered = sum(1 for layer in layers for mask in layer.values() if mask & accept_bits)
+    covered = sum(1 for mask in masks.values() if mask & accept_bits)
     complete = covered == len(table)
     counter_elem: Optional[str] = None
     if not complete:
         counter_elem = group.render(min(
-            (d, e) for e, d in table.items() if not (layers[d].get(e, 0) & accept_bits))[1])
+            (d, e) for (e, d), mask in zip(table.items(), masks.values())
+            if not mask & accept_bits)[1])
     return VerifyReport(
         sound=failure is None,
         complete=complete,
-        radius=index.radius,
+        radius=radius,
         words_checked=words_checked,
         elements_covered=covered,
         counterexample_word=counter_word,

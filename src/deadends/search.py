@@ -504,7 +504,7 @@ def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
     into n windows the flat window can still come up one short, in which
     case the certified smaller s is returned rather than an unsound r // n.
     """
-    d0 = index.table[a]
+    d0 = index.distance(a)
     if index.radius < d0 + r:
         raise InsufficientRadius("need radius >= %d for slack window r=%d" % (d0 + r, r))
     width = r // max(n, 1)
@@ -561,6 +561,8 @@ def function_depth(index: BallIndex, f: dict, element, cap: int):
     past it: the cap must fit in the room, index.radius - d(element), and
     a larger cap raises InsufficientRadius (module docstring).
     """
+    if cap < 1:
+        raise DeadendError("cap must be >= 1")
     d0 = index.distance(element)
     if cap > index.radius - d0:
         raise InsufficientRadius("need radius >= %d for function depth cap %d" % (d0 + cap, cap))

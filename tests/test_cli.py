@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import deadends
 from deadends.cli import _depth_cell, main
 from deadends.geolang import zn_sorted_dfa
 from deadends.heis import HeisenbergGroup, heis_family
@@ -313,7 +314,10 @@ class TestDeterminism:
 
 class TestBudgetEnv:
     def test_budget_env_var_caps_the_search(self, specs, tmp_path):
-        env = dict(os.environ, DEADEND_BUDGET="100")
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(deadends.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, DEADEND_BUDGET="100", PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "deadends.cli", "ball",
              "--spec", specs["heis"], "--radius", "10",

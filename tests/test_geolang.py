@@ -315,6 +315,19 @@ class TestVerify:
         with pytest.raises(NotInBall, match=r"\(3,0\)"):
             verify_language(zn_sorted_dfa(2), group, holed)
 
+    def test_table_out_of_distance_order_refused(self):
+        # one pass in table order needs distance order; a shuffled complete
+        # table raises rather than report on masks not yet final
+        group = standard_zn(2)
+        index = ball(group, 4)
+        items = list(index.table.items())
+        rng = random.Random(4)
+        for _ in range(20):
+            rng.shuffle(items)
+            shuffled = BallIndex(group, 4, dict(items), index.spheres)
+            with pytest.raises(DeadendError, match="distance order"):
+                verify_language(zn_sorted_dfa(2), group, shuffled)
+
     def test_weighted_group_refused(self):
         group = WeightedZnGroup(WeightedGenSet(2, (((1, 0), 1), ((0, 1), 3))))
         with pytest.raises(DeadendError, match="weights"):
@@ -343,6 +356,29 @@ class TestVerify:
             tracemalloc.stop()
         assert report.ok
         assert peak <= 1.25 * ball_bytes
+
+    @pytest.mark.parametrize("name, radius, sort", [
+        ("f2_reduced", 8, False), ("z2_sorted", 40, True)], ids=["f2_b8", "z2_b40_sorted_table"])
+    def test_memory_holds_no_second_copy_of_the_ball(self, name, radius, sort):
+        # the masks share the table's keys: the elements that neighbours
+        # builds are dropped, and the search peaks well below the ball
+        dfa, group = builtin_dfas()[name]
+        ball(group, 2)  # warm the group's caches outside the trace
+        tracemalloc.start()
+        try:
+            index = ball(group, radius)
+            if sort:
+                table = dict(sorted(index.table.items(), key=lambda kv: (kv[1], kv[0])))
+                index = BallIndex(group, radius, table, index.spheres)
+            ball_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = verify_language(dfa, group, index)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak <= 0.5 * ball_bytes
 
     @pytest.mark.parametrize("make, sound, words, covered, word, element", [
         (loop_dfa, False, 22, 13, "a a-", "(0,-1)"),

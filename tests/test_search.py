@@ -666,6 +666,13 @@ class TestLocalMaxFromSlack:
         with pytest.raises(InsufficientRadius):
             local_max_from_slack(idx, f, (3,), 3, 1)
 
+    def test_source_outside_the_ball_raises_not_in_ball(self):
+        g = standard_zn(1)
+        idx = ball(g, 4)
+        f = {e: 0 for e in idx.table}
+        with pytest.raises(NotInBall, match=r"\(9\)"):
+            local_max_from_slack(idx, f, (9,), 1, 1)
+
 
 class TestDepthTransfer:
     def test_identical_tables_map_dead_ends_to_themselves(self):
@@ -713,6 +720,13 @@ class TestDepthTransfer:
             with pytest.raises(InsufficientRadius):
                 function_depth(idx, d, element, cap)
         assert function_depth(idx, d, (2,), 2) == (1, False)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_function_depth_rejects_cap_below_one(self, cap):
+        idx = ball(standard_zn(1), 4)
+        d = {e: dd for e, dd in idx.items_sorted()}
+        with pytest.raises(DeadendError, match="cap must be >= 1"):
+            function_depth(idx, d, (0,), cap)
 
     def test_function_depth_past_the_room_raises(self):
         # (4,0,-1) lies 4 from (6,0,0), but every geodesic between them
