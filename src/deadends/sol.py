@@ -401,8 +401,9 @@ _ZERO_EXTENTS = frozenset({(0, 0)})
 
 
 class _SupportSearch:
-    """Support search for one matrix: exact degree windows, one strip table
-    per window size, and the reach, exact-length and extents memos.
+    """Support search for one matrix: exact degree windows, a residue sieve,
+    one strip table per window size, and the reach, exact-length and
+    extents memos.
 
     Memo keys are (x, y, l).  reach[(x, y, l)] says whether (x, y) has a
     support of length at most l; reps[(x, y, l)] holds every support of
@@ -410,6 +411,20 @@ class _SupportSearch:
     (p1 terms, p2 terms) pairs; extents[(x, y, l)], for l the minimal
     length of (x, y), holds the clamped (max(0, top), min(0, bot)) pairs
     of its minimal supports.  All three memos count against `budget`.
+
+    A residue sieve settles most level-2 reach queries in integers, before
+    any window.  Take the least k in 1..64 with m = gcd of the entries of
+    R^k - I and m^2 > 256 (4k + 1)^2.  Then R^k = I (mod m), and R^-1 is
+    a power of R (mod m) because det R = +-1, so R^a = R^(a mod k)
+    (mod m) for every integer a.  Every unit +-R^a e_i is thus congruent
+    to one of U = {+-R^j e_i mod m : 0 <= j < k}, and every vector with a
+    support of length at most 2 is congruent to 0, to a member of U or to
+    a sum of two.  S holds those residues, each stored as x m + y.  Since
+    |S| <= (4k + 1)^2, the size test keeps S below 1/256 of the m^2
+    residues.  Powers of an integer matrix are periodic modulo every m
+    (Wall, "Fibonacci series modulo m", 1960); for [[2, 1], [1, 1]] the
+    test first holds at k = 15, with m = 1364 and |S| = 1501.  If no k
+    qualifies, m = 1 and S = {0}, which every vector passes.
     """
 
     def __init__(self, R: HypMatrix):
@@ -434,6 +449,24 @@ class _SupportSearch:
         self.reps_memo: dict[tuple[int, int, int], tuple] = {}
         self.extents_memo: dict[tuple[int, int, int], frozenset[tuple[int, int]]] = {}
         self.budget = 0
+        self._mod, self._residues = self._sieve()
+
+    def _sieve(self) -> tuple[int, frozenset[int]]:
+        """The modulus m and residue set S of the level-2 sieve."""
+        R = self._R
+        for k in range(1, 65):
+            (a, b), (c, d) = R.power(k)
+            m = math.gcd(a - 1, b, c, d - 1)
+            if m * m > 256 * (4 * k + 1) ** 2:
+                break
+        else:
+            return 1, frozenset({0})
+        units = {(s * R.power(j)[0][i] % m, s * R.power(j)[1][i] % m)
+                 for j in range(k) for i in (0, 1) for s in (1, -1)}
+        # U = -U, so the pair sums hold u + (-u) = 0.
+        pairs = {((x1 + x2) % m, (y1 + y2) % m)
+                 for x1, y1 in units for x2, y2 in units}
+        return m, frozenset(x * m + y for x, y in units | pairs)
 
     def _w(self, x: int, y: int) -> Vec2:
         """sigma (tr z - 2 R z): P = (z + w / sqrt(Delta)) / 2."""
@@ -550,7 +583,10 @@ class _SupportSearch:
         which is inside the window of (z, l); stripping one unit there leaves
         a support of length l' - 1 of the remainder, so in-window strips are
         a complete search.  Level 1 is `_is_unit`, with no recursion and no
-        memo entry.  Level 2 tests each remainder z - u by its form first:
+        memo entry.  Level 2 first asks the residue sieve (see the class
+        docstring): a z whose residue mod m is not in S has no support of
+        length at most 2, and that answer takes no window and no memo
+        entry.  Past the sieve it tests each remainder z - u by its form:
         Q(z - u) = Q(z) + Q(u) - (x a_u + y b_u), with Q(u), a_u and b_u
         kept per strip table, and calls `_is_unit` only when |Q(z - u)| is
         a unit form.  Above it every remainder is looked up in the memo
@@ -562,6 +598,10 @@ class _SupportSearch:
             return False
         if l == 1:
             return self._is_unit(x, y)
+        if l == 2:
+            mod = self._mod
+            if x % mod * mod + y % mod not in self._residues:
+                return False
         memo = self.reach_memo
         key = (x, y, l)
         found = memo.get(key)

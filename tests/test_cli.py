@@ -328,10 +328,12 @@ class TestBudgetEnv:
 
     def test_budget_env_var_caps_the_support_memo(self, specs, tmp_path,
                                                    monkeypatch, capsys):
-        # The radius-6 ball has 1,521 elements; its sweep needs 1,968 memo
-        # entries (1,456 reach, 512 extents), so 1,700 fits the ball, not the memo.
-        monkeypatch.setenv("DEADEND_BUDGET", "1700")
-        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "6",
+        # The residue sieve keeps the memo below the ball up to radius 8
+        # (6,564 entries against 7,277 elements).  The radius-9 ball has
+        # 15,547 elements; its sweep needs 17,676 memo entries (12,696
+        # reach, 4,980 extents), so 16,000 fits the ball, not the memo.
+        monkeypatch.setenv("DEADEND_BUDGET", "16000")
+        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "9",
                      "--out", str(tmp_path)]) == 1
         assert "support memo" in capsys.readouterr().err
         assert not (tmp_path / "sol_gap.csv").exists()

@@ -1,5 +1,6 @@
 """Sol lattices: group law, minimal supports, length formula, witnesses."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -460,6 +461,12 @@ class TestLengthFormula:
             assert wreath_oracle(v, cur) == d, (lamps, cur)
 
 
+def rows_digest(rows):
+    """sha256 of the bdiff_gap rows, one "i,j,z,d,norm,gap" line each."""
+    text = "".join("%d,%d,%d,%d,%d,%d\n" % (e + (d, n, g)) for e, d, n, g in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestAbsNorm:
     def test_identity(self):
         assert abs_norm((0, 0, 0), R_FIX) == 0
@@ -478,6 +485,18 @@ class TestAbsNorm:
         assert by_elem[(0, 0, 0)][3] == 0
         for _e, d, norm, gap in report.rows:
             assert norm - d == gap >= 0
+        assert rows_digest(report.rows) == \
+            "ebe63944dc8770994e6e84ca964fa0ae850d3777a607bfe98e92fafb34d6d549"
+
+    def test_bdiff_skew_radius_6(self):
+        # The skewed matrix's window constant is 50: its sweep is the
+        # support search's stress case.
+        R = HypMatrix(R_SKEW)
+        report = bdiff_gap(R, ball(SolGroup(R), 6))
+        assert report.elements_checked == 7175 and report.skipped == 0
+        assert report.max_gap == 12
+        assert rows_digest(report.rows) == \
+            "dd318b2af872b8d4afef4b63c7e1704806b811c040f3935893c550f2b5e8f47d"
 
     def test_bdiff_gap_stable_across_radii(self, sol_ball9):
         report = bdiff_gap(R_FIX, sol_ball9)
@@ -569,6 +588,38 @@ class TestMinimalExtents:
                 assert search._form(x, y) + qu - x * au - y * bu == search._form(x - dx, y - dy)
             want = unit(x, y) or any(unit(x - dx, y - dy) for _k, _c, _s, dx, dy in table)
             assert search.reach(x, y, 2) == want, (x, y)
+
+
+def sieve_passes(search, x, y):
+    m = search._mod
+    return x % m * m + y % m in search._residues
+
+
+class TestResidueSieve:
+    @pytest.mark.parametrize("rows", [R_FIX.rows, R_DETM1, R_SKEW, [[-2, 1], [1, -1]],
+                                      [[2, 1], [1, 0]]],
+                             ids=["fix", "detm1", "skew", "neg_tr", "tr2_detm1"])
+    def test_every_sum_of_two_units_passes(self, rows):
+        R = HypMatrix(rows)
+        search = _support_search(R)
+        assert search._mod > 1
+        units = [(s * R.power(a)[0][i], s * R.power(a)[1][i])
+                 for a in range(-15, 16) for i in (0, 1) for s in (1, -1)]
+        assert sieve_passes(search, 0, 0)
+        for ux, uy in units:
+            assert sieve_passes(search, ux, uy), (ux, uy)
+            for vx, vy in units:
+                assert sieve_passes(search, ux + vx, uy + vy), (ux, uy, vx, vy)
+
+    def test_rejects_the_unreachable_box_vectors(self):
+        search = _support_search(R_FIX)
+        assert search._mod == 1364 and len(search._residues) == 1501
+        box = list(itertools.product(range(-12, 13), repeat=2))
+        unreachable = [z for z in box if not search.reach(*z, 2)]
+        assert len(unreachable) == 416
+        assert not any(sieve_passes(search, *z) for z in unreachable)
+        # A sieved answer takes no memo entry.
+        assert not any(z + (2,) in search.reach_memo for z in unreachable)
 
 
 def float_greedy_digits(n, R):
