@@ -23,7 +23,6 @@ from .search import (
     DepthReport,
     InsufficientRadius,
     ResourceCap,
-    SplitIndex,
     ball,
     deadend_scan,
     depth,
@@ -43,7 +42,6 @@ __all__ = [
     "MarkedGroup",
     "OutOfBox",
     "ResourceCap",
-    "SplitIndex",
     "UnknownLetter",
     "Word",
     "ball",

@@ -112,6 +112,8 @@ class WeightedZnGroup(MarkedGroup):
         self.ws = ws
         if names is None:
             names = tuple("g%d" % i for i in range(len(ws.gens)))
+        elif len(names) != len(ws.gens):
+            raise DeadendError("%d names for %d generators" % (len(names), len(ws.gens)))
         self.alphabet = GenAlphabet(tuple(names))
         self._zero = (0,) * ws.n
         self._vectors = {(i, s): v if s == 1 else _vec_neg(v)
@@ -438,6 +440,8 @@ class EuclideanSpec:
         if not self.gen_names:
             object.__setattr__(self, "gen_names",
                                tuple("g%d" % i for i in range(len(self.gens))))
+        elif len(self.gen_names) != len(self.gens):
+            raise DeadendError("%d names for %d generators" % (len(self.gen_names), len(self.gens)))
 
     def to_json_obj(self) -> dict:
         return {

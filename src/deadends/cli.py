@@ -140,7 +140,7 @@ def cmd_depth_scan(
     """Dead-end scan; one CSV row per certified element of depth >= min_depth."""
     group, meta = load_group_spec(spec)
     index = ball(group, radius)
-    reports = deadend_scan(group, index, min_depth, cap=cap)
+    reports = deadend_scan(index, min_depth, cap=cap)
     rows = [
         (group.render(r.element), r.distance_from_identity,
          _depth_cell(r.depth, r.exceeds_cap))

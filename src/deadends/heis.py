@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, OutOfBox, Word
-from .search import BallIndex, ClaimViolation, DepthReport, InsufficientRadius, SplitIndex, _distance, depth
+from .search import BallIndex, ClaimViolation, DepthReport, InsufficientRadius, _distance, depth
 
 HeisElement = tuple[int, int, int]
 
@@ -306,12 +306,12 @@ def rederived_depth_bound(n: int) -> int:
     return m + 1
 
 
-def heis_family(n: int, index: ClosedFormIndex | BallIndex | SplitIndex,
+def heis_family(n: int, index: ClosedFormIndex | BallIndex,
                 cap: Optional[int] = None) -> HeisFamilyRow:
     """Check the n-th deep element against a distance oracle.
 
-    The CLI passes the closed-form ClosedFormIndex; a ball or split index
-    over HeisenbergGroup gives the same row up to its radius.
+    The CLI passes the closed-form ClosedFormIndex; a ball over
+    HeisenbergGroup gives the same row up to its radius.
 
     Asserts distance 4n + 2 exactly and depth at least the integer bound;
     also re-derives a depth lower bound from the witness words alone.
@@ -329,7 +329,7 @@ def heis_family(n: int, index: ClosedFormIndex | BallIndex | SplitIndex,
                              % (index.group.render(g), d, 4 * n + 2))
     if cap is None:
         cap = index.radius - d
-    report = (depth(index.group, g, index, cap) if cap >= 1
+    report = (depth(index, g, cap) if cap >= 1
               else DepthReport(g, d, 1, None, exceeds_cap=True))
     bound = _depth_bound_ceil(n)
     rederived = rederived_depth_bound(n)

@@ -28,19 +28,6 @@ index computes them on first use.  A scan still tests every letter
 lighter than min_depth on the dead ends it walks, so its exclusion stays
 exact.
 
-A split index answers exact distances past its ball.  With unit letter
-weights and |h| >= r1, every geodesic to h ends in a suffix of length r1,
-whose element u lies on the sphere S(r1); the triangle inequality bounds
-every other choice, and S(r1) is closed under inverse, so
-
-    |h| = r1 + min over v in S(r1) of |h v|.
-
-Given the ball B(r2) with r1 <= r2, the minimum is read off the table
-whenever it is at most r2, which gives |h| exactly up to r1 + r2 and
-"farther than r1 + r2" past it.  Only an element outside B(r2), hence
-with |h| > r2 >= r1, walks the sphere words.  A weighted geodesic can
-step over the sphere, so a weighted group is refused.
-
 The transfer path (function_depth, local_max_from_slack,
 depth_transfer_check) reads tables defined on the ball only, so it cannot
 count an element past the ball as farther the way depth does.  It keeps a
@@ -50,9 +37,9 @@ InsufficientRadius.  Within the room every element the search meets, and
 every geodesic to it, lies in the ball, so the answer is exact.
 
 depth reads distances only through index.group, index.radius and
-index.get(e, default), so it runs unchanged on any of three oracles: a
-BallIndex, a SplitIndex, or heis.ClosedFormIndex, which computes
-Heisenberg distances in closed form and stores nothing.
+index.get(e, default), so it runs unchanged on either of two oracles: a
+BallIndex, or heis.ClosedFormIndex, which computes Heisenberg distances
+in closed form and stores nothing.
 """
 
 from __future__ import annotations
@@ -249,67 +236,6 @@ def _distance(index, element) -> int:
     return d
 
 
-class SplitIndex:
-    """Exact distances out to r1 + r2 from the ball B(r2) and its sphere S(r1).
-
-    Past the ball, |h| = r1 + min |h v| over v in S(r1) (module docstring).
-    Geodesic words for S(r1), read off the table by descent, share
-    prefixes: one tree of (parent slot, letter) nodes, the sphere last,
-    which a query steps through once per node.  Needs unit letter weights
-    and 0 <= r1 <= r2; the |S(r1)| words count against the element budget.
-    """
-
-    def __init__(self, index: BallIndex, r1: int):
-        group = index.group
-        if group.is_weighted:
-            raise HypothesisViolated("split distance needs unit letter weights")
-        if not 0 <= r1 <= index.radius:
-            raise HypothesisViolated("split needs 0 <= r1 <= %d, got r1=%d" % (index.radius, r1))
-        budget = default_budget()
-        if len(index) + index.spheres.get(r1, 0) > budget:
-            raise ResourceCap("split(r1=%d) over ball(radius=%d) exceeds element budget %d"
-                              % (r1, index.radius, budget))
-        self.group = group
-        self.index = index
-        self.r1 = r1
-        self.radius = r1 + index.radius
-        table = index.table
-        letters = [lt for lt, _w in group.weighted_letters]
-        levels = [[v for v, d in table.items() if d == r1]]
-        parent = {}
-        for d in range(r1, 0, -1):
-            up = {}
-            for v in levels[-1]:
-                for (i, s), n in zip(letters, group.neighbours(v)):
-                    if table.get(n) == d - 1:
-                        parent[v] = (n, (i, -s))  # v = n (i, -s)
-                        up[n] = None
-                        break
-                else:
-                    raise ClaimViolation("no neighbour of %s one step nearer" % group.render(v))
-            levels.append(list(up))
-        nodes = [v for level in reversed(levels) for v in level]
-        slot = {v: k for k, v in enumerate(nodes)}
-        self.tree = [(slot[parent[v][0]], parent[v][1]) for v in nodes[1:]]
-        self.first = len(nodes) - len(levels[0])  # slot of the first sphere node
-
-    def distance(self, element) -> int:
-        return _distance(self, element)
-
-    def get(self, element, default=None):
-        """The distance of element, or default when it lies past radius."""
-        table = self.index.table
-        d = table.get(element)
-        if d is not None:
-            return d
-        step = self.group.apply_letter
-        at = [element]
-        for p, lt in self.tree:
-            at.append(step(at[p], lt))
-        near = [d for d in map(table.get, at[self.first:]) if d is not None]
-        return self.r1 + min(near) if near else default
-
-
 def _uniform_cost(group: MarkedGroup, start, cap):
     """Yield (distance, element) for everything within cap of start.
 
@@ -357,15 +283,13 @@ class DepthReport:
         }
 
 
-def depth(group: MarkedGroup, element, index: BallIndex | SplitIndex, cap: int) -> DepthReport:
+def depth(index, element, cap: int) -> DepthReport:
     """Distance from element to the nearest strictly-farther element.
 
-    index is any exact distance oracle: a BallIndex; a SplitIndex whose
-    ball B(r2) and sphere S(r1), with unit weights and r1 <= r2, answer
-    exactly up to radius r1 + r2; or a heis.ClosedFormIndex, exact up to
-    its radius by the Heisenberg closed form.  Distances are read through
-    index.get, which gives the default past index.radius, so all three
-    share this loop.
+    index is an exact distance oracle: a BallIndex, or a
+    heis.ClosedFormIndex, exact up to its radius by the Heisenberg closed
+    form.  Distances are read through index.get, which gives the default
+    past index.radius, so both share this loop.
 
     Needs only d0 = d(1,element) <= index.radius, and any cap >= 1.  The
     search is not confined to the oracle's reach: an element past it lies
@@ -415,7 +339,7 @@ def certified_max_depth(index: BallIndex, bound: int) -> tuple[int, int]:
     checked = sum(c for d, c in index.spheres.items() if d < radius)
     max_depth = w_min if checked > len(dead) else 0
     for e in dead:
-        report = depth(group, e, index, bound)
+        report = depth(index, e, bound)
         if report.exceeds_cap:
             raise ClaimViolation("element %s has depth > %d" % (group.render(e), bound))
         max_depth = max(max_depth, report.depth)
@@ -450,8 +374,7 @@ def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
     return climbs
 
 
-def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
-                 cap: Optional[int] = None) -> list[DepthReport]:
+def deadend_scan(index: BallIndex, min_depth: int, cap: Optional[int] = None) -> list[DepthReport]:
     """Every element at distance < radius of depth >= min_depth, ordered by
     (distance, element).
 
@@ -470,6 +393,8 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
     min_depth <= w_min every element is at least that deep and the scan
     walks every element below the radius.
     """
+    if min_depth < 1:
+        raise DeadendError("min_depth must be >= 1")
     if cap is None:
         cap = min_depth
     if cap < min_depth:
@@ -481,7 +406,7 @@ def deadend_scan(group: MarkedGroup, index: BallIndex, min_depth: int,
     for e, d0 in walk.items():
         if d0 >= index.radius or climbs(e, d0):
             continue
-        report = depth(group, e, index, cap)
+        report = depth(index, e, cap)
         if report.depth >= min_depth:
             out.append(report)
     out.sort(key=lambda r: (r.distance_from_identity, r.element))

@@ -281,5 +281,5 @@ def test_family_witness_words(heis_group, heis_ball22):
         g = heis_group.evaluate(w)
         assert g == (0, 0, n * n + 1)
         assert len(w) == 4 * n + 2 == heis_ball22.distance(g)
-    rep = depth(heis_group, (0, 0, 5), heis_ball22, cap=12)
+    rep = depth(heis_ball22, (0, 0, 5), cap=12)
     assert rep.depth == 5 and not rep.exceeds_cap

@@ -86,6 +86,18 @@ class TestBall:
         assert main(["ball", "--spec", str(spec), "--radius", "1",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("spec, names", [
+        (Z2, ["a"]), (Z2, ["a", "b", "c"]), (EUC, ["a", "b"]), (EUC, ["a", "b", "s", "t"])],
+        ids=["z2-few", "z2-many", "euc-few", "euc-many"])
+    def test_names_must_match_the_generators(self, tmp_path, capsys, spec, names):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(spec, names=names)))
+        assert main(["ball", "--spec", str(path), "--radius", "3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "%d names for %d generators" % (len(names), len(spec["gens"])) in err
+        assert not (tmp_path / "ball.csv").exists()
+
     def test_missing_radius_is_usage_error(self, specs, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["ball", "--spec", specs["heis"], "--out", str(tmp_path)])

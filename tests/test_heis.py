@@ -30,7 +30,6 @@ from deadends.search import (
     ClaimViolation,
     InsufficientRadius,
     NotInBall,
-    SplitIndex,
     ball,
     depth,
 )
@@ -286,12 +285,12 @@ class TestFamily:
         with pytest.raises(InsufficientRadius, match="n=6.*capped at 1.*radius >= 29"):
             heis_family(6, heis_ball26, cap=1)
 
-    def test_cap_zero_is_insufficient_radius_without_a_search(self, heis_group, monkeypatch):
+    def test_cap_zero_is_insufficient_radius_without_a_search(self, monkeypatch):
         monkeypatch.setattr(heis, "depth", None)  # any call would fail
         with pytest.raises(InsufficientRadius, match=re.escape(
                 "n=6: depth search capped at 0 certifies only depth >= 1, "
                 "below bound 4; need radius >= 29")):
-            heis_family(6, SplitIndex(ball(heis_group, 22), 4), cap=0)
+            heis_family(6, ClosedFormIndex(26), cap=0)
 
     def test_witness_inside_a_short_cap_still_convicts(self, heis_group):
         # a doctored table puts a neighbour of (0,0,10) farther out, so the
@@ -314,6 +313,6 @@ class TestFamily:
         # exact depths: neither search reaches its cap of 12
         full = heis_ball22 if n <= 5 else heis_ball26
         g = (0, 0, n * n + 1)
-        rep = depth(heis_group, g, ClosedFormIndex(4 * n + 2), cap=12)
-        assert rep == depth(heis_group, g, full, cap=12)
+        rep = depth(ClosedFormIndex(4 * n + 2), g, cap=12)
+        assert rep == depth(full, g, cap=12)
         assert (rep.depth, rep.exceeds_cap) == (expected, False)

@@ -19,7 +19,6 @@ from deadends.search import (
     InsufficientRadius,
     NotInBall,
     ResourceCap,
-    SplitIndex,
     TransferRow,
     ball,
     certified_max_depth,
@@ -84,7 +83,7 @@ def _record_searches(monkeypatch):
     calls = []
     real = search.depth
     monkeypatch.setattr(search, "depth",
-                        lambda g, e, idx, cap: calls.append(e) or real(g, e, idx, cap))
+                        lambda idx, e, cap: calls.append(e) or real(idx, e, cap))
     return calls
 
 
@@ -105,7 +104,7 @@ def _doctored_z2():
 def _exact_depths(idx, cap):
     """depth() with the given cap on every element at distance < radius, in
     table order: the one depth contract, with no shortcut."""
-    return [depth(idx.group, e, idx, cap) for e, d in idx.table.items() if d < idx.radius]
+    return [depth(idx, e, cap) for e, d in idx.table.items() if d < idx.radius]
 
 
 def _rebuilt(group, radius):
@@ -139,7 +138,7 @@ class TestBall:
         weight = g.letter_weight
         monkeypatch.setattr(g, "letter_weight", lambda lt: calls.append(lt) or weight(lt))
         idx = ball(g, 8)
-        deadend_scan(g, idx, 2)
+        deadend_scan(idx, 2)
         certified_max_depth(idx, 3)
         assert len(calls) == len(g.alphabet.signed_letters())
 
@@ -227,10 +226,10 @@ class TestDepth:
     def test_z2_generator_depth_1(self):
         g = standard_zn(2)
         idx = ball(g, 6)
-        assert depth(g, (1, 0), idx, cap=3).depth == 1
+        assert depth(idx, (1, 0), cap=3).depth == 1
 
     def test_heis_family_member(self, heis_group, heis_ball22):
-        rep = depth(heis_group, (0, 0, 10), heis_ball22, cap=8)
+        rep = depth(heis_ball22, (0, 0, 10), cap=8)
         assert rep.distance_from_identity == 14
         assert rep.depth == 7 and not rep.exceeds_cap
         assert heis_ball22.distance(rep.witness) > 14
@@ -241,7 +240,7 @@ class TestDepth:
         for e, d in idx.items_sorted():
             if d + 1 > idx.radius:
                 continue
-            assert depth(g, e, idx, cap=1).depth == 1
+            assert depth(idx, e, cap=1).depth == 1
 
     # depth on B(R) must equal depth on a ball that reaches d0 + cap for
     # every element and cap <= 4
@@ -259,112 +258,60 @@ class TestDepth:
         left_table = 0
         for e in small.elements():
             for cap in range(1, 5):
-                rep = depth(g, e, small, cap)
-                assert rep == depth(g, e, big, cap), (e, cap)
+                rep = depth(small, e, cap)
+                assert rep == depth(big, e, cap), (e, cap)
                 left_table += rep.witness is not None and rep.witness not in small
         assert left_table > 0  # witnesses past the small table were found
 
     def test_cap_past_the_table(self, heis_group, heis_ball22):
         # d0 = 14, so cap 9 reaches radius 23, past the radius-22 table
-        rep = depth(heis_group, (0, 0, 10), heis_ball22, cap=9)
+        rep = depth(heis_ball22, (0, 0, 10), cap=9)
         assert rep.depth == 7 and not rep.exceeds_cap
-        assert rep == depth(heis_group, (0, 0, 10), ball(heis_group, 23), cap=9)
+        assert rep == depth(ball(heis_group, 23), (0, 0, 10), cap=9)
 
     def test_cap_must_be_positive(self, heis_group, heis_ball22):
         with pytest.raises(DeadendError):
-            depth(heis_group, (1, 0, 0), heis_ball22, cap=0)
+            depth(heis_ball22, (1, 0, 0), cap=0)
 
     def test_exceeds_cap_flagged(self, heis_group, heis_ball22):
-        rep = depth(heis_group, (0, 0, 5), heis_ball22, cap=3)
+        rep = depth(heis_ball22, (0, 0, 5), cap=3)
         assert rep.exceeds_cap and rep.depth == 4 and rep.witness is None
-
-
-class TestSplitIndex:
-    # on all of B(R + 2) the split over B(R - r1) and S(r1) must give the
-    # full-ball distance, and None past R
-    @pytest.mark.parametrize("make, R, r1", [
-        (HeisenbergGroup, 14, 1),
-        (HeisenbergGroup, 14, 2),
-        (HeisenbergGroup, 14, 4),
-        (lambda: FreeGroup(2), 6, 1),
-        (lambda: FreeGroup(2), 6, 2),
-        (lambda: FreeGroup(2), 6, 3),
-        (WreathZ2Z, 5, 1),
-        (WreathZ2Z, 5, 2),
-        (lambda: SolGroup(HypMatrix([[2, 1], [1, 1]])), 8, 1),
-        (lambda: SolGroup(HypMatrix([[2, 1], [1, 1]])), 8, 2),
-    ], ids=["heis-1", "heis-2", "heis-4", "free2-1", "free2-2", "free2-3",
-            "wreath-1", "wreath-2", "sol-1", "sol-2"])
-    def test_exact_up_to_its_radius(self, make, R, r1):
-        g = make()
-        full = ball(g, R + 2)
-        split = SplitIndex(ball(g, R - r1), r1)
-        assert split.radius == R
-        for e, d in full.table.items():
-            assert split.get(e) == (d if d <= R else None), g.render(e)
-        with pytest.raises(NotInBall, match="within radius %d" % R):
-            split.distance(next(e for e, d in full.table.items() if d > R))
-
-    def test_depth_through_the_split_equals_the_ball(self, heis_group):
-        full = ball(heis_group, 14)
-        split = SplitIndex(ball(heis_group, 10), 4)
-        sphere = [e for e, d in full.table.items() if d == 12]
-        assert sphere
-        for e in sphere:
-            assert depth(heis_group, e, split, 2) == depth(heis_group, e, full, 2)
-
-    def test_r1_zero_is_the_plain_ball(self, heis_group):
-        index = ball(heis_group, 6)
-        split = SplitIndex(index, 0)
-        assert split.radius == 6
-        assert all(split.get(e) == index.get(e)
-                   for e in ball(heis_group, 8).elements())
-
-    def test_refuses_a_weighted_group(self):
-        with pytest.raises(HypothesisViolated, match="unit letter weights"):
-            SplitIndex(ball(WeightedZnGroup(WEIGHTED_13), 6), 1)
-
-    def test_refuses_r1_past_the_ball(self, heis_group):
-        with pytest.raises(HypothesisViolated, match="r1=5"):
-            SplitIndex(ball(heis_group, 4), 5)
-
-    def test_sphere_words_count_against_the_budget(self, heis_group, monkeypatch):
-        index = ball(heis_group, 6)  # S(4) has 82 elements
-        monkeypatch.setenv("DEADEND_BUDGET", str(len(index) + 81))
-        with pytest.raises(ResourceCap, match="exceeds element budget"):
-            SplitIndex(index, 4)
-        monkeypatch.setenv("DEADEND_BUDGET", str(len(index) + 82))
-        assert SplitIndex(index, 4).radius == 10
 
 
 class TestDeadendScan:
     def test_z2_empty(self):
         g = standard_zn(2)
-        assert deadend_scan(g, ball(g, 8), 2) == []
+        assert deadend_scan(ball(g, 8), 2) == []
 
     def test_heis_r12_contains_g2(self):
         g = HeisenbergGroup()
         idx = ball(g, 12)
-        hits = deadend_scan(g, idx, 2)
+        hits = deadend_scan(idx, 2)
         assert (0, 0, 5) in [r.element for r in hits]
         assert len(hits) == 12
 
     def test_free_group_empty(self):
         g = FreeGroup(2)
-        assert deadend_scan(g, ball(g, 6), 2) == []
+        assert deadend_scan(ball(g, 6), 2) == []
 
     def test_deterministic_order(self):
         g = HeisenbergGroup()
         idx = ball(g, 10)
-        a = deadend_scan(g, idx, 2)
-        b = deadend_scan(g, idx, 2)
+        a = deadend_scan(idx, 2)
+        b = deadend_scan(idx, 2)
         assert a == b
         dists = [r.distance_from_identity for r in a]
         assert dists == sorted(dists)
 
     def test_cap_below_min_depth_rejected(self, heis_group, heis_ball22):
         with pytest.raises(DeadendError):
-            deadend_scan(heis_group, heis_ball22, 3, cap=2)
+            deadend_scan(heis_ball22, 3, cap=2)
+
+    @pytest.mark.parametrize("radius", [0, 3])
+    def test_min_depth_below_one_rejected(self, heis_group, radius):
+        # B(0) has nothing below its radius to search, B(3) has; both refuse
+        with pytest.raises(DeadendError, match="^min_depth must be >= 1$"):
+            deadend_scan(ball(heis_group, radius), 0)
 
     @staticmethod
     def _brute_force(g, idx, min_depth, cap=None):
@@ -381,7 +328,7 @@ class TestDeadendScan:
         assert expected
         if cap is not None:
             assert any(r.exceeds_cap for r in expected)
-        assert deadend_scan(g, idx, 2, cap=cap) == expected
+        assert deadend_scan(idx, 2, cap=cap) == expected
 
     def test_weighted_matches_brute_force(self):
         # Every hit here has a strictly farther neighbour, across a weight-3
@@ -395,14 +342,14 @@ class TestDeadendScan:
         for r in expected:
             assert any(idx.distance(nb) > r.distance_from_identity and w == 3
                        for nb, w in idx.neighbors_in_ball(r.element))
-        assert deadend_scan(g, idx, 2) == expected
+        assert deadend_scan(idx, 2) == expected
 
     def test_free_group_matches_brute_force(self):
         g = FreeGroup(2)
         idx = ball(g, 6)
         expected = self._brute_force(g, idx, 1)
         assert expected
-        assert deadend_scan(g, idx, 1) == expected
+        assert deadend_scan(idx, 1) == expected
 
     @pytest.mark.parametrize("min_depth, hits", [(2, 81), (4, 0)])
     def test_lightest_weight_two_matches_brute_force(self, monkeypatch, min_depth, hits):
@@ -416,7 +363,7 @@ class TestDeadendScan:
         inside = [e for e, d in idx.table.items() if d < idx.radius]
         expected = self._brute_force(g, idx, min_depth)
         calls = _record_searches(monkeypatch)
-        assert deadend_scan(g, idx, min_depth) == expected
+        assert deadend_scan(idx, min_depth) == expected
         assert len(expected) == hits
         if min_depth == 2:
             assert calls == inside and len(inside) == hits
@@ -428,10 +375,10 @@ class TestDeadendScan:
         # B(12) at cap 3: the four dead ends at d = 10 have no room for the
         # cap inside the ball; each row equals depth on B(15) all the same.
         idx = ball(heis_group, 12)
-        rows = deadend_scan(heis_group, idx, 2, cap=3)
+        rows = deadend_scan(idx, 2, cap=3)
         assert len([r for r in rows if r.distance_from_identity + 3 > idx.radius]) == 4
         bigger = ball(heis_group, 15)
-        assert rows == [depth(heis_group, r.element, bigger, 3) for r in rows]
+        assert rows == [depth(bigger, r.element, 3) for r in rows]
 
     @pytest.mark.parametrize("make, min_depth, cap", [
         (lambda: ball(HeisenbergGroup(), 12), 2, 2),
@@ -445,10 +392,10 @@ class TestDeadendScan:
         # rendered identically, and in the same order.
         idx = make()
         g = idx.group
-        with_room = [depth(g, e, idx, cap) for e, d in idx.items_sorted()
+        with_room = [depth(idx, e, cap) for e, d in idx.items_sorted()
                      if d + cap <= idx.radius]
         expected = [r.to_json_obj(g) for r in with_room if r.depth >= min_depth]
-        rows = deadend_scan(g, idx, min_depth, cap=cap)
+        rows = deadend_scan(idx, min_depth, cap=cap)
         assert [r.to_json_obj(g) for r in rows
                 if r.distance_from_identity + cap <= idx.radius] == expected
 
@@ -456,10 +403,10 @@ class TestDeadendScan:
         g = HeisenbergGroup()
         idx = ball(g, 12)
         calls = _record_searches(monkeypatch)
-        reports = deadend_scan(g, idx, 2)
+        reports = deadend_scan(idx, 2)
         assert calls == list(idx.dead_ends) and len(calls) == 12
         rebuilt = BallIndex(g, idx.radius, idx.table, idx.spheres)
-        assert deadend_scan(g, rebuilt, 2) == reports
+        assert deadend_scan(rebuilt, 2) == reports
 
 
 class TestCertifiedMaxDepth:
@@ -498,7 +445,7 @@ class TestCertifiedMaxDepth:
         # (0,0,1) sits at d = 4 in B(5) with depth 3 (B(5) alone tells it:
         # the search stops at a farther element past the ball).
         idx = ball(HeisenbergGroup(), 5)
-        assert depth(idx.group, (0, 0, 1), idx, 3).depth == 3
+        assert depth(idx, (0, 0, 1), 3).depth == 3
         with pytest.raises(ClaimViolation, match=r"^element \(0,0,1\) has depth > 2$"):
             certified_max_depth(idx, 2)
 

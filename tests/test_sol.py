@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from deadends.core import OutOfBox, Word
-from deadends.search import ClaimViolation, ResourceCap, SplitIndex, ball, deadend_scan, depth
+from deadends.search import BallIndex, ClaimViolation, ResourceCap, ball, deadend_scan, depth
 from deadends.sol import (
     BdiffReport,
     CapExceeded,
@@ -761,12 +761,16 @@ class TestDistort:
 class TestDeepPockets:
     def test_scan_below_the_radius(self, sol_group, sol_ball13):
         """Every Sol dead end at d < 13 of depth >= 3 gets its exact depth,
-        and the split B(13) + S(4) gives the same reports."""
-        rows = deadend_scan(sol_group, sol_ball13, 3, cap=6)
+        and the same table cut to B(12) gives the same reports: its d = 12
+        rows meet every farther element outside the table."""
+        rows = deadend_scan(sol_ball13, 3, cap=6)
         assert len(rows) == 52
         assert {(r.distance_from_identity, r.depth, r.exceeds_cap) for r in rows} == \
             {(11, 3, False), (12, 3, False)}
         assert sum(r.distance_from_identity == 11 for r in rows) == 16
         assert (12, 0, 0) in [r.element for r in rows]
-        split = SplitIndex(sol_ball13, 4)
-        assert rows == [depth(sol_group, r.element, split, 6) for r in rows]
+        rim = BallIndex(sol_group, 12,
+                        {e: d for e, d in sol_ball13.table.items() if d <= 12},
+                        {d: c for d, c in sol_ball13.spheres.items() if d <= 12})
+        assert rows == [depth(rim, r.element, 6) for r in rows]
+        assert all(r.witness not in rim for r in rows if r.distance_from_identity == 12)
