@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, UnknownLetter, Word
+from .core import (DeadendError, GenAlphabet, Letter, MarkedGroup, UnknownLetter, Word,
+                   json_int, json_names)
 from .search import (BallIndex, InsufficientRadius, ResourceCap, _uniform_cost,
                      certified_max_depth, default_budget)
 
@@ -90,8 +91,8 @@ class WeightedGenSet:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WeightedGenSet":
-        return cls(int(obj["n"]),
-                   tuple((tuple(int(c) for c in g["v"]), int(g["w"]))
+        return cls(json_int(obj["n"]),
+                   tuple((tuple(json_int(c) for c in g["v"]), json_int(g["w"]))
                          for g in obj["gens"]))
 
 
@@ -454,12 +455,12 @@ class EuclideanSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EuclideanSpec":
         return cls(
-            int(obj["n"]),
-            tuple(tuple(tuple(int(x) for x in r) for r in m) for m in obj["point_group"]),
-            tuple((tuple(int(x) for x in g["v"]),
-                   tuple(tuple(int(x) for x in r) for r in g["mat"]))
+            json_int(obj["n"]),
+            tuple(tuple(tuple(json_int(x) for x in r) for r in m) for m in obj["point_group"]),
+            tuple((tuple(json_int(x) for x in g["v"]),
+                   tuple(tuple(json_int(x) for x in r) for r in g["mat"]))
                   for g in obj["gens"]),
-            tuple(obj.get("names", ())),
+            json_names(obj.get("names", [])),
         )
 
 

@@ -25,7 +25,7 @@ from .abelian import (
     WeightedGenSet,
     WeightedZnGroup,
 )
-from .core import DeadendError, MarkedGroup
+from .core import DeadendError, MarkedGroup, json_names
 from .geolang import Dfa, depth_bound_check, verify_language
 from .heis import ClosedFormIndex, HeisenbergGroup, _depth_bound_ceil, heis_family
 from .search import (
@@ -72,10 +72,9 @@ def load_group_spec(path: str | Path) -> tuple[MarkedGroup, dict]:
         elif kind == "sol":
             group = SolGroup(HypMatrix(obj["R"]))
         elif kind == "zn_weighted":
-            names = obj.get("names")
             group = WeightedZnGroup(
                 WeightedGenSet.from_json_obj(obj),
-                names=tuple(names) if names else None,
+                names=json_names(obj.get("names", [])) or None,
             )
         elif kind == "euclidean":
             group = EuclideanGroup(EuclideanSpec.from_json_obj(obj))
@@ -246,7 +245,8 @@ def cmd_dfa(dfa_file: str, spec: str, radius: int, out: str) -> int:
     p = Path(dfa_file)
     try:
         dfa = Dfa.from_json_obj(json.loads(p.read_text()), group.alphabet)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (DeadendError, OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
         raise SpecError("cannot load DFA %s: %s" % (p, exc)) from exc
     index = ball(group, radius)
     rep = verify_language(dfa, group, index)

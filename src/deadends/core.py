@@ -34,6 +34,20 @@ class OutOfBox(DeadendError):
     """Argument lies outside the validity box of a construction."""
 
 
+def json_int(value: Any) -> int:
+    """An integer read from JSON: bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise DeadendError("expected an integer, got %r" % (value,))
+    return value
+
+
+def json_names(value: Any) -> tuple[str, ...]:
+    """Names read from JSON: a list of strings, never a bare string."""
+    if type(value) is not list or any(type(name) is not str for name in value):
+        raise DeadendError("expected a list of strings, got %r" % (value,))
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class GenAlphabet:
     """Ordered generating alphabet. Tokens render inverses with a '-' suffix."""
@@ -68,7 +82,7 @@ class GenAlphabet:
 
     def letter(self, token: str) -> Letter:
         sign = 1
-        if token.endswith("-"):
+        if isinstance(token, str) and token.endswith("-"):
             sign = -1
             token = token[:-1]
         try:

@@ -23,6 +23,7 @@ from .core import (
     MarkedGroup,
     UnknownLetter,
     Word,
+    json_int,
 )
 from .search import BallIndex, ClaimViolation, certified_max_depth
 
@@ -80,14 +81,14 @@ class Dfa:
     def from_json_obj(cls, obj: dict, alphabet: GenAlphabet) -> "Dfa":
         trans: dict[tuple[int, Letter], int] = {}
         for row in obj["trans"]:
-            key = (int(row["from"]), alphabet.letter(row["letter"]))
+            key = (json_int(row["from"]), alphabet.letter(row["letter"]))
             if key in trans:
                 raise DeadendError("duplicate transition for %r" % (key,))
-            trans[key] = int(row["to"])
+            trans[key] = json_int(row["to"])
         return cls(
-            n_states=int(obj["states"]),
-            start=int(obj["start"]),
-            accept=frozenset(int(s) for s in obj["accept"]),
+            n_states=json_int(obj["states"]),
+            start=json_int(obj["start"]),
+            accept=frozenset(json_int(s) for s in obj["accept"]),
             trans=trans,
             alphabet=alphabet,
         )

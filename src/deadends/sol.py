@@ -44,6 +44,7 @@ from .core import (
     MarkedGroup,
     OutOfBox,
     Word,
+    json_int,
 )
 from .search import BallIndex, ClaimViolation, ResourceCap, default_budget
 
@@ -85,9 +86,7 @@ class HypMatrix:
     def __init__(self, rows: Sequence[Sequence[int]]):
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise NotHyperbolic("expected a 2x2 matrix, got %r" % (rows,))
-        m: Mat2 = tuple(tuple(int(x) for x in r) for r in rows)  # type: ignore[assignment]
-        if any(x != y for r, rr in zip(rows, m) for x, y in zip(r, rr)):
-            raise NotHyperbolic("matrix entries must be integers: %r" % (rows,))
+        m: Mat2 = tuple(tuple(json_int(x) for x in r) for r in rows)  # type: ignore[assignment]
         p, r = m[0]
         q, s = m[1]
         det = p * s - q * r
@@ -412,19 +411,20 @@ class _SupportSearch:
     length of (x, y), holds the clamped (max(0, top), min(0, bot)) pairs
     of its minimal supports.  All three memos count against `budget`.
 
-    A residue sieve settles most level-2 reach queries in integers, before
-    any window.  Take the least k in 1..64 with m = gcd of the entries of
-    R^k - I and m^2 > 256 (4k + 1)^2.  Then R^k = I (mod m), and R^-1 is
-    a power of R (mod m) because det R = +-1, so R^a = R^(a mod k)
-    (mod m) for every integer a.  Every unit +-R^a e_i is thus congruent
-    to one of U = {+-R^j e_i mod m : 0 <= j < k}, and every vector with a
-    support of length at most 2 is congruent to 0, to a member of U or to
-    a sum of two.  S holds those residues, each stored as x m + y.  Since
-    |S| <= (4k + 1)^2, the size test keeps S below 1/256 of the m^2
-    residues.  Powers of an integer matrix are periodic modulo every m
-    (Wall, "Fibonacci series modulo m", 1960); for [[2, 1], [1, 1]] the
-    test first holds at k = 15, with m = 1364 and |S| = 1501.  If no k
-    qualifies, m = 1 and S = {0}, which every vector passes.
+    A residue sieve settles most reach queries at levels 1 and 2 in
+    integers, before any window.  Take the least k in 1..64 with m = gcd
+    of the entries of R^k - I and m^2 > 256 (4k + 1)^2.  Then R^k = I
+    (mod m), and R^-1 is a power of R (mod m) because det R = +-1, so
+    R^a = R^(a mod k) (mod m) for every integer a.  Every unit +-R^a e_i
+    is thus congruent to one of U = {+-R^j e_i mod m : 0 <= j < k}, and
+    every vector with a support of length at most 2 is congruent to 0,
+    to a member of U or to a sum of two; S holds those residues.  Both
+    sets store a residue (x, y) as x m + y.  Since |S| <= (4k + 1)^2,
+    the size test keeps S below 1/256 of the m^2 residues.  Powers of an
+    integer matrix are periodic modulo every m (Wall, "Fibonacci series
+    modulo m", 1960); for [[2, 1], [1, 1]] the test first holds at
+    k = 15, with m = 1364, |U| = 60 and |S| = 1501.  If no k qualifies,
+    m = 1 and U = S = {0}, which every vector passes.
     """
 
     def __init__(self, R: HypMatrix):
@@ -441,18 +441,16 @@ class _SupportSearch:
         self._tpow = [(1, 0), self._t1]
         self._log_t = 2.0 * math.log((abs(tr) + math.sqrt(disc)) / 2.0)
         self._c2 = self._window_constant() ** 2
-        self._unit_forms = frozenset((q, -q, r, -r))
         self._strips: dict[int, list[tuple[int, int, int, int, int]]] = {}
         self._units: dict[int, frozenset[Vec2]] = {}
-        self._form_steps: dict[int, list[tuple[int, int, int, int, int]]] = {}
         self.reach_memo: dict[tuple[int, int, int], bool] = {}
         self.reps_memo: dict[tuple[int, int, int], tuple] = {}
         self.extents_memo: dict[tuple[int, int, int], frozenset[tuple[int, int]]] = {}
         self.budget = 0
         self._mod, self._residues = self._sieve()
 
-    def _sieve(self) -> tuple[int, frozenset[int]]:
-        """The modulus m and residue set S of the level-2 sieve."""
+    def _sieve(self) -> tuple[int, tuple[frozenset[int], frozenset[int]]]:
+        """The modulus m and the residue sets (U, S) of levels 1 and 2."""
         R = self._R
         for k in range(1, 65):
             (a, b), (c, d) = R.power(k)
@@ -460,13 +458,14 @@ class _SupportSearch:
             if m * m > 256 * (4 * k + 1) ** 2:
                 break
         else:
-            return 1, frozenset({0})
+            return 1, (frozenset({0}), frozenset({0}))
         units = {(s * R.power(j)[0][i] % m, s * R.power(j)[1][i] % m)
                  for j in range(k) for i in (0, 1) for s in (1, -1)}
         # U = -U, so the pair sums hold u + (-u) = 0.
         pairs = {((x1 + x2) % m, (y1 + y2) % m)
                  for x1, y1 in units for x2, y2 in units}
-        return m, frozenset(x * m + y for x, y in units | pairs)
+        return m, (frozenset(x * m + y for x, y in units),
+                   frozenset(x * m + y for x, y in units | pairs))
 
     def _w(self, x: int, y: int) -> Vec2:
         """sigma (tr z - 2 R z): P = (z + w / sqrt(Delta)) / 2."""
@@ -557,17 +556,7 @@ class _SupportSearch:
                     table.append((k, comp, -1, -dx, -dy))
             self._strips[N] = table
             self._units[N] = frozenset((dx, dy) for _k, _c, _s, dx, dy in table)
-            p, r, q, s = self._rows
-            self._form_steps[N] = [
-                (self._form(dx, dy), 2 * q * dx + (s - p) * dy,
-                 (s - p) * dx - 2 * r * dy, dx, dy)
-                for _k, _c, _s, dx, dy in table]
         return table
-
-    def _form(self, x: int, y: int) -> int:
-        """Q(x, y) = q x^2 + (s - p) x y - r y^2; see _is_unit."""
-        p, r, q, s = self._rows
-        return q * x * x + (s - p) * x * y - r * y * y
 
     def _store(self, memo: dict, key: tuple[int, int, int], value) -> None:
         if (len(self.reach_memo) + len(self.reps_memo)
@@ -582,72 +571,46 @@ class _SupportSearch:
         A support of length l' <= l owns a term in the window of (z, l'),
         which is inside the window of (z, l); stripping one unit there leaves
         a support of length l' - 1 of the remainder, so in-window strips are
-        a complete search.  Level 1 is `_is_unit`, with no recursion and no
-        memo entry.  Level 2 first asks the residue sieve (see the class
-        docstring): a z whose residue mod m is not in S has no support of
-        length at most 2, and that answer takes no window and no memo
-        entry.  Past the sieve it tests each remainder z - u by its form:
-        Q(z - u) = Q(z) + Q(u) - (x a_u + y b_u), with Q(u), a_u and b_u
-        kept per strip table, and calls `_is_unit` only when |Q(z - u)| is
-        a unit form.  Above it every remainder is looked up in the memo
-        before any recursion.
+        a complete search.  A query at level 1 or 2 first asks the residue
+        sieve (see the class docstring): a z whose residue mod m is not in
+        U (level 1) or S (level 2) has no support that short, and that
+        answer takes no window and no memo entry.  Past the sieve, level 1
+        is a lookup among the units of the window of (z, 1), again with no
+        memo entry.  Levels 2 and up run one loop over the in-window strips,
+        looking each remainder up in the memo before any recursion.
         """
         if x == 0 and y == 0:
             return True
         if l <= 0:
             return False
-        if l == 1:
-            return self._is_unit(x, y)
-        if l == 2:
+        if l <= 2:
             mod = self._mod
-            if x % mod * mod + y % mod not in self._residues:
+            if x % mod * mod + y % mod not in self._residues[l - 1]:
                 return False
+            if l == 1:
+                N = self.window(x, y, 1)
+                self.strips(N)
+                return (x, y) in self._units[N]
         memo = self.reach_memo
         key = (x, y, l)
         found = memo.get(key)
         if found is not None:
             return found
-        N = self.window(x, y, l)
-        table = self.strips(N)
         m = l - 1
-        if m == 1:
-            found = self._is_unit(x, y)
-            if not found:
-                forms = self._unit_forms
-                qz = self._form(x, y)
-                for qu, au, bu, dx, dy in self._form_steps[N]:
-                    if qz + qu - x * au - y * bu in forms and self._is_unit(x - dx, y - dy):
-                        found = True
-                        break
+        found = False
+        open_rests = []
+        for _k, _c, _s, dx, dy in self.strips(self.window(x, y, l)):
+            rx, ry = x - dx, y - dy
+            hit = memo.get((rx, ry, m))
+            if hit or (rx == 0 and ry == 0):
+                found = True
+                break
+            if hit is None:
+                open_rests.append((rx, ry))
         else:
-            found = False
-            open_rests = []
-            for _k, _c, _s, dx, dy in table:
-                rx, ry = x - dx, y - dy
-                hit = memo.get((rx, ry, m))
-                if hit or (rx == 0 and ry == 0):
-                    found = True
-                    break
-                if hit is None:
-                    open_rests.append((rx, ry))
-            else:
-                found = any(self.reach(rx, ry, m) for rx, ry in open_rests)
+            found = any(self.reach(rx, ry, m) for rx, ry in open_rests)
         self._store(memo, key, found)
         return found
-
-    def _is_unit(self, x: int, y: int) -> bool:
-        """Whether (x, y) = +-R^k e_i for some k, i.e. has a length-1 support.
-
-        Q(x, y) = q x^2 + (s - p) x y - r y^2 vanishes on both eigenlines, so
-        Q(R z) = det Q(z) and every unit has |Q| = |q| or |r|.  Other vectors
-        are rejected at once; the rest are matched against the strip vectors
-        of their window, which holds every unit they could be.
-        """
-        if self._form(x, y) not in self._unit_forms:
-            return False
-        N = self.window(x, y, 1)
-        self.strips(N)
-        return (x, y) in self._units[N]
 
     def reps(self, x: int, y: int, l: int) -> tuple:
         """Every support of length exactly l built from in-window strips.
@@ -1069,32 +1032,21 @@ def _reduce_support(p1: LaurentPoly, p2: LaurentPoly, R: HypMatrix) -> tuple[Lau
     def cost(q1: LaurentPoly, q2: LaurentPoly) -> int:
         return ll_length(SupportVector(q1, q2), 0)
 
-    improved = True
-    while improved:
-        improved = False
-        cur = cost(p1, p2)
-        for which in (0, 1):
-            p = p1 if which == 0 else p2
+    def moves(q1: LaurentPoly, q2: LaurentPoly):
+        for which, p in ((0, q1), (1, q2)):
             if p.is_zero:
                 continue
-            lo = (p.bot or 0) - 2
-            hi = p.top or 0
-            for s in range(lo, hi + 1):
+            for s in range((p.bot or 0) - 2, (p.top or 0) + 1):
                 for sgn in (1, -1):
                     q = p + C.scale(sgn).shift(s)
-                    cand = cost(q, p2) if which == 0 else cost(p1, q)
-                    if cand < cur:
-                        if which == 0:
-                            p1 = q
-                        else:
-                            p2 = q
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-    return p1, p2
+                    yield (q, q2) if which == 0 else (q1, q)
+
+    while True:
+        cur = cost(p1, p2)
+        better = next((m for m in moves(p1, p2) if cost(*m) < cur), None)
+        if better is None:
+            return p1, p2
+        p1, p2 = better
 
 
 def _flip(v: SupportVector) -> SupportVector:
@@ -1153,14 +1105,8 @@ def distort_witness(zvec: Vec2, m: int, R: HypMatrix) -> Word:
     powers = [LaurentPoly.monomial(0)]
     for _ in range(m):
         powers.append(powers[-1] * E)
-    d1 = _balanced_digits(zvec[0], B)
-    d2 = _balanced_digits(zvec[1], B)
-    p1 = _ZERO
-    for i, d in enumerate(d1):
-        p1 = p1 + powers[i].scale(d)
-    p2 = _ZERO
-    for i, d in enumerate(d2):
-        p2 = p2 + powers[i].scale(d)
+    p1, p2 = (sum((powers[i].scale(d) for i, d in enumerate(_balanced_digits(c, B))), _ZERO)
+              for c in zvec)
     if apply_poly(p1, p2, R) != zvec:
         raise ClaimViolation("digit lift missed %r" % (zvec,))
     p1, p2 = _reduce_support(p1, p2, R)

@@ -98,6 +98,29 @@ class TestBall:
         assert "%d names for %d generators" % (len(names), len(spec["gens"])) in err
         assert not (tmp_path / "ball.csv").exists()
 
+    @pytest.mark.parametrize("spec, field, value, message", [
+        (Z2, "gens", [{"v": [1, 0], "w": 1.5}, {"v": [0.9, 1], "w": 1}],
+         "expected an integer, got 1.5"),
+        (Z2, "gens", [{"v": [1, 0], "w": True}, {"v": [0, 1], "w": 1}],
+         "expected an integer, got True"),
+        (Z2, "n", "2", "expected an integer, got '2'"),
+        (Z2, "names", "ab", "expected a list of strings, got 'ab'"),
+        (Z2, "names", [1, 2], "expected a list of strings, got [1, 2]"),
+        (EUC, "names", "abc", "expected a list of strings, got 'abc'"),
+        (EUC, "n", 2.0, "expected an integer, got 2.0"),
+        (SOL, "R", [[2.0, 1], [1, 1]], "expected an integer, got 2.0"),
+    ], ids=["z2-float-weight", "z2-bool-weight", "z2-string-n", "z2-string-names",
+            "z2-int-names", "euc-string-names", "euc-float-n", "sol-float-entry"])
+    def test_malformed_numbers_and_names_refused(self, tmp_path, capsys, spec, field,
+                                                 value, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(spec, **{field: value})))
+        assert main(["ball", "--spec", str(path), "--radius", "2",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid %s spec" % spec["kind"]) and message in err
+        assert not (tmp_path / "ball.csv").exists()
+
     def test_missing_radius_is_usage_error(self, specs, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["ball", "--spec", specs["heis"], "--out", str(tmp_path)])
@@ -304,6 +327,22 @@ class TestDfa:
                      "--radius", "11", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "weights" in err and "not within radius" not in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", 5.0, "expected an integer, got 5.0"),
+        ("start", True, "expected an integer, got True"),
+        ("accept", ["0"], "expected an integer, got '0'"),
+        ("trans", [{"from": 0, "letter": 5, "to": 0}], "token 5 not in alphabet"),
+    ], ids=["float-states", "bool-start", "string-accept", "int-letter"])
+    def test_malformed_numbers_refused(self, specs, tmp_path, capsys, field, value,
+                                       message):
+        dfa_path = tmp_path / "dfa.json"
+        dfa_path.write_text(json.dumps(dict(zn_sorted_dfa(2).to_json_obj(), **{field: value})))
+        assert main(["dfa", "--dfa", str(dfa_path), "--spec", specs["z2"],
+                     "--radius", "4", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load DFA") and message in err
+        assert not (tmp_path / "dfa_report.json").exists()
 
     def test_unreadable_dfa_exits_2(self, specs, tmp_path):
         assert main(["dfa", "--dfa", str(tmp_path / "nope.json"),

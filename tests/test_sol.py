@@ -578,21 +578,26 @@ class TestMinimalExtents:
     @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, R_SKEW],
                              ids=["fix", "detm1", "skew"])
     def test_level_two_matches_the_unit_loop(self, rows):
-        search = _support_search(HypMatrix(rows))
-        unit = search._is_unit
-        for x, y in itertools.product(range(-12, 13), repeat=2):
-            N = search.window(x, y, 2)
-            table = search.strips(N)
-            for (_k, _c, _s, dx, dy), (qu, au, bu, ux, uy) in zip(table, search._form_steps[N]):
-                assert (ux, uy) == (dx, dy)
-                assert search._form(x, y) + qu - x * au - y * bu == search._form(x - dx, y - dy)
-            want = unit(x, y) or any(unit(x - dx, y - dy) for _k, _c, _s, dx, dy in table)
-            assert search.reach(x, y, 2) == want, (x, y)
+        R = HypMatrix(rows)
+        search = _support_search(R)
+        units = listed_units(R)
+        for z in itertools.product(range(-12, 13), repeat=2):
+            one = z == (0, 0) or z in units
+            assert search.reach(*z, 1) == one, z
+            two = one or any((z[0] - ux, z[1] - uy) in units for ux, uy in units)
+            assert search.reach(*z, 2) == two, z
 
 
-def sieve_passes(search, x, y):
+def listed_units(R):
+    """The units +-R^a e_i with |a| <= 15, listed without the sieve."""
+    return {(s * R.power(a)[0][i], s * R.power(a)[1][i])
+            for a in range(-15, 16) for i in (0, 1) for s in (1, -1)}
+
+
+def sieve_passes(search, x, y, l):
+    """Whether (x, y) passes the residue sieve of level l, 1 or 2."""
     m = search._mod
-    return x % m * m + y % m in search._residues
+    return x % m * m + y % m in search._residues[l - 1]
 
 
 class TestResidueSieve:
@@ -603,23 +608,41 @@ class TestResidueSieve:
         R = HypMatrix(rows)
         search = _support_search(R)
         assert search._mod > 1
-        units = [(s * R.power(a)[0][i], s * R.power(a)[1][i])
-                 for a in range(-15, 16) for i in (0, 1) for s in (1, -1)]
-        assert sieve_passes(search, 0, 0)
+        units = listed_units(R)
+        assert sieve_passes(search, 0, 0, 2)
         for ux, uy in units:
-            assert sieve_passes(search, ux, uy), (ux, uy)
+            assert sieve_passes(search, ux, uy, 1), (ux, uy)
             for vx, vy in units:
-                assert sieve_passes(search, ux + vx, uy + vy), (ux, uy, vx, vy)
+                assert sieve_passes(search, ux + vx, uy + vy, 2), (ux, uy, vx, vy)
 
     def test_rejects_the_unreachable_box_vectors(self):
         search = _support_search(R_FIX)
-        assert search._mod == 1364 and len(search._residues) == 1501
+        assert search._mod == 1364
+        assert [len(r) for r in search._residues] == [60, 1501]
         box = list(itertools.product(range(-12, 13), repeat=2))
         unreachable = [z for z in box if not search.reach(*z, 2)]
         assert len(unreachable) == 416
-        assert not any(sieve_passes(search, *z) for z in unreachable)
+        assert not any(sieve_passes(search, *z, 2) for z in unreachable)
         # A sieved answer takes no memo entry.
         assert not any(z + (2,) in search.reach_memo for z in unreachable)
+
+    def test_level_one_looks_past_the_sieve(self):
+        # u + (m, 0) has the residue of the unit u, but is no unit itself.
+        search = _support_search(R_FIX)
+        units = listed_units(R_FIX)
+        m = search._mod
+        small = [(ux, uy) for ux, uy in units if abs(ux) <= 12 and abs(uy) <= 12]
+        assert len(small) == 24
+        for ux, uy in small:
+            z = (ux + m, uy)
+            assert sieve_passes(search, *z, 1) and z not in units
+            assert not search.reach(*z, 1), z
+
+    def test_modulus_above_one_on_every_small_matrix(self):
+        mats = admissible_matrices(-6, 6)
+        assert len(mats) == 504
+        for rows in mats:
+            assert _support_search(HypMatrix(rows))._mod > 1, rows
 
 
 def float_greedy_digits(n, R):
