@@ -18,11 +18,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import (DeadendError, GenAlphabet, Letter, MarkedGroup, UnknownLetter, Word,
+from .core import (DeadendError, Frozen, GenAlphabet, Letter, MarkedGroup, UnknownLetter, Word,
                    json_int, json_names)
 from .search import (BallIndex, InsufficientRadius, ResourceCap, _uniform_cost,
                      certified_max_depth, default_budget)
@@ -62,24 +61,30 @@ def _vec_neg(v: Vec) -> Vec:
     return tuple(-a for a in v)
 
 
-@dataclass(frozen=True)
-class WeightedGenSet:
+class WeightedGenSet(Frozen):
     """Generators of Z^n with positive integer weights."""
 
-    n: int
-    gens: tuple[tuple[Vec, int], ...]  # (vector, weight)
+    __slots__ = ("n", "gens")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, gens: tuple[tuple[Vec, int], ...]):  # (vector, weight)
+        if n < 1:
             raise DeadendError("n must be >= 1")
-        for v, w in self.gens:
-            if len(v) != self.n:
+        for v, w in gens:
+            if len(v) != n:
                 raise DeadendError("generator %r has wrong dimension" % (v,))
             if w < 1:
                 raise DeadendError("weight of %r must be >= 1" % (v,))
-        vecs = [v for v, _w in self.gens]
-        if len(vecs) < self.n or _lattice_index(vecs, self.n) != 1:
-            raise NotGenerating("generators %r do not span Z^%d" % (vecs, self.n))
+        vecs = [v for v, _w in gens]
+        if len(vecs) < n or _lattice_index(vecs, n) != 1:
+            raise NotGenerating("generators %r do not span Z^%d" % (vecs, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
+
+    def __eq__(self, other):
+        return type(other) is WeightedGenSet and (self.n, self.gens) == (other.n, other.gens)
+
+    def __hash__(self):
+        return hash((self.n, self.gens))
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -180,8 +185,7 @@ def weighted_distances(ws: WeightedGenSet, targets: Iterable[Vec],
     return out
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """One facet of the scaled polytope: its lattice points among the scaled
     generators, and the rational functional equal to 1 exactly there."""
 
@@ -192,8 +196,7 @@ class Facet:
         return sum(a * c for a, c in zip(self.functional, x))
 
 
-@dataclass(frozen=True)
-class ScaledPolytope:
+class ScaledPolytope(NamedTuple):
     M: int
     scaled: tuple[Vec, ...]            # one scaled vector per generator, in order
     points: tuple[Vec, ...]            # scaled vectors and their negatives, deduped
@@ -360,8 +363,7 @@ def _parallelepiped_points(basis: Sequence[Vec], n: int) -> list[Vec]:
                    for row, scale in int_rows)]
 
 
-@dataclass(frozen=True)
-class DepthBoundReport:
+class DepthBoundReport(NamedTuple):
     bound: int
     cell_distance: int        # D: max weighted distance over facet cells
     max_depth_seen: int
@@ -409,22 +411,19 @@ def _identity_mat(n: int) -> Mat:
     return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
-@dataclass(frozen=True)
-class EuclideanSpec:
+class EuclideanSpec(Frozen):
     """Split extension of Z^n by a finite integer point group.
 
     Elements are (vector, matrix); (u, P)(v, Q) = (u + P v, P Q).
     Generators may mix translation and point parts.
     """
 
-    n: int
-    point_group: tuple[Mat, ...]
-    gens: tuple[tuple[Vec, Mat], ...]
-    gen_names: tuple[str, ...] = ()
+    __slots__ = ("n", "point_group", "gens", "gen_names")
 
-    def __post_init__(self):
-        ident = _identity_mat(self.n)
-        pg = set(self.point_group)
+    def __init__(self, n: int, point_group: tuple[Mat, ...],
+                 gens: tuple[tuple[Vec, Mat], ...], gen_names: tuple[str, ...] = ()):
+        ident = _identity_mat(n)
+        pg = set(point_group)
         if ident not in pg:
             raise NotEuclidean("point group must contain the identity")
         for p in pg:
@@ -435,14 +434,24 @@ class EuclideanSpec:
             for q in pg:
                 if _mat_mul(p, q) not in pg:
                     raise NotEuclidean("point group not closed under products")
-        for _v, m in self.gens:
+        for _v, m in gens:
             if m not in pg:
                 raise NotEuclidean("generator matrix %r outside the point group" % (m,))
-        if not self.gen_names:
-            object.__setattr__(self, "gen_names",
-                               tuple("g%d" % i for i in range(len(self.gens))))
-        elif len(self.gen_names) != len(self.gens):
-            raise DeadendError("%d names for %d generators" % (len(self.gen_names), len(self.gens)))
+        if not gen_names:
+            gen_names = tuple("g%d" % i for i in range(len(gens)))
+        elif len(gen_names) != len(gens):
+            raise DeadendError("%d names for %d generators" % (len(gen_names), len(gens)))
+        for name, value in zip(self.__slots__, (n, point_group, gens, gen_names)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.n, self.point_group, self.gens, self.gen_names)
+
+    def __eq__(self, other):
+        return type(other) is EuclideanSpec and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def to_json_obj(self) -> dict:
         return {
@@ -566,8 +575,7 @@ def coset_representatives(spec: EuclideanSpec) -> dict:
     return reps
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     observed_gap: int
     gap_bound: int
     elements_checked: int

@@ -4,6 +4,8 @@ Subcommands build distance balls, scan for dead ends, check the deep
 Heisenberg family, sweep the Sol norm gap, and verify geodesic automata.
 All outputs are deterministic: CSV bodies use canonical element renders
 and fixed row order, and JSON mirrors the CSV content plus run metadata.
+Each command imports the family module it runs, and each spec kind the one
+that defines its group, when it runs, so a command loads no other family.
 
 Exit codes: 0 success, 1 a checked claim failed or a resource cap was
 hit, 2 usage or input error.
@@ -13,29 +15,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .abelian import (
-    EuclideanGroup,
-    EuclideanSpec,
-    WeightedGenSet,
-    WeightedZnGroup,
-)
 from .core import DeadendError, MarkedGroup, json_names
-from .geolang import Dfa, depth_bound_check, verify_language
-from .heis import ClosedFormIndex, HeisenbergGroup, _depth_bound_ceil, heis_family
 from .search import (
     BoundViolated,
+    CapExceeded,
     ClaimViolation,
     ResourceCap,
     ball,
     deadend_scan,
 )
-from .sol import CapExceeded, HypMatrix, SolGroup, WreathZ2Z, bdiff_gap
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -49,6 +42,7 @@ class SpecError(DeadendError):
 
 
 def _file_sha256(path: Path) -> str:
+    import hashlib
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -68,17 +62,22 @@ def load_group_spec(path: str | Path) -> tuple[MarkedGroup, dict]:
     kind = obj["kind"]
     try:
         if kind == "heisenberg":
+            from .heis import HeisenbergGroup
             group: MarkedGroup = HeisenbergGroup()
         elif kind == "sol":
+            from .sol import HypMatrix, SolGroup
             group = SolGroup(HypMatrix(obj["R"]))
         elif kind == "zn_weighted":
+            from .abelian import WeightedGenSet, WeightedZnGroup
             group = WeightedZnGroup(
                 WeightedGenSet.from_json_obj(obj),
                 names=json_names(obj.get("names", [])) or None,
             )
         elif kind == "euclidean":
+            from .abelian import EuclideanGroup, EuclideanSpec
             group = EuclideanGroup(EuclideanSpec.from_json_obj(obj))
         elif kind == "wreath_z2_z":
+            from .sol import WreathZ2Z
             group = WreathZ2Z()
         else:
             raise SpecError(
@@ -176,6 +175,7 @@ def cmd_heis_family(
     too small to certify a row's bound raises InsufficientRadius (exit 2)
     before any file is written.
     """
+    from .heis import ClosedFormIndex, _depth_bound_ceil, heis_family
     header = ("n", "distance", "depth_bound", "bfs_depth")
     rows: list[tuple[int, int, int, str]] = []
     meta: dict = {"n_max": n_max}
@@ -208,8 +208,9 @@ def cmd_sol_gap(
 ) -> int:
     """Norm-vs-distance sweep over a Sol ball; summary carries the max gap."""
     group, meta = load_group_spec(spec)
-    if not isinstance(group, SolGroup):
+    if meta["kind"] != "sol":
         raise SpecError("sol-gap requires a spec with kind 'sol', got %s" % meta["kind"])
+    from .sol import bdiff_gap
     index = ball(group, radius)
     report = bdiff_gap(group.R, index, l_cap=cap)
     rows = [
@@ -241,6 +242,7 @@ def cmd_dfa(dfa_file: str, spec: str, radius: int, out: str) -> int:
     The JSON report always lands on disk; a failed verification keeps the
     counterexample in the report and exits 1.
     """
+    from .geolang import Dfa, depth_bound_check, verify_language
     group, meta = load_group_spec(spec)
     p = Path(dfa_file)
     try:

@@ -14,7 +14,6 @@ element.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
@@ -48,15 +47,37 @@ def json_names(value: Any) -> tuple[str, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class GenAlphabet:
+class Frozen:
+    """Base of the immutable plain classes: a subclass sets each of its
+    __slots__ once, in __init__ through object.__setattr__, and any later
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot change %r: %s is immutable" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class GenAlphabet(Frozen):
     """Ordered generating alphabet. Tokens render inverses with a '-' suffix."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise UnknownLetter("duplicate generator names: %r" % (self.names,))
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
+            raise UnknownLetter("duplicate generator names: %r" % (names,))
+        object.__setattr__(self, "names", names)
+
+    def __eq__(self, other):
+        return type(other) is GenAlphabet and self.names == other.names
+
+    def __hash__(self):
+        return hash((self.names,))
 
     @property
     def size(self) -> int:
@@ -91,11 +112,22 @@ class GenAlphabet:
             raise UnknownLetter("token %r not in alphabet %r" % (token, self.names)) from None
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """Immutable word over an alphabet, stored as a tuple of letters."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        return type(other) is Word and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __repr__(self):
+        return "Word(letters=%r)" % (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)

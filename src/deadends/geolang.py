@@ -11,13 +11,13 @@ of a candidate language against a breadth-first ball.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from operator import le
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .core import (
     DeadendError,
+    Frozen,
     GenAlphabet,
     Letter,
     MarkedGroup,
@@ -36,30 +36,34 @@ class SoundnessUnverified(DeadendError):
     """Operation requires a DFA that passed verification on this ball."""
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Frozen):
     """Deterministic partial automaton over a generating alphabet.
 
     Missing transitions reject.  Transitions are stored as a mapping
     (state, letter) -> state and never mutated after construction.
     """
 
-    n_states: int
-    start: int
-    accept: frozenset[int]
-    trans: dict[tuple[int, Letter], int]
-    alphabet: GenAlphabet
+    __slots__ = ("n_states", "start", "accept", "trans", "alphabet")
 
-    def __post_init__(self):
-        if not (0 <= self.start < self.n_states):
-            raise DeadendError("start state %d out of range" % self.start)
-        for s in self.accept:
-            if not (0 <= s < self.n_states):
+    def __init__(self, n_states: int, start: int, accept: frozenset[int],
+                 trans: dict[tuple[int, Letter], int], alphabet: GenAlphabet):
+        if not (0 <= start < n_states):
+            raise DeadendError("start state %d out of range" % start)
+        for s in accept:
+            if not (0 <= s < n_states):
                 raise DeadendError("accept state %d out of range" % s)
-        for (s, lt), s2 in self.trans.items():
-            self.alphabet.check(lt)
-            if not (0 <= s < self.n_states and 0 <= s2 < self.n_states):
+        for (s, lt), s2 in trans.items():
+            alphabet.check(lt)
+            if not (0 <= s < n_states and 0 <= s2 < n_states):
                 raise DeadendError("transition %r -> %r out of range" % ((s, lt), s2))
+        for name, value in zip(self.__slots__, (n_states, start, accept, trans, alphabet)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.n_states, self.start, self.accept, self.trans, self.alphabet)
+
+    def __eq__(self, other):  # and no hash, as trans is a dict
+        return type(other) is Dfa and self._values() == other._values()
 
     def step(self, state: int, letter: Letter) -> Optional[int]:
         return self.trans.get((state, letter))
@@ -144,8 +148,7 @@ def pump_decompose(dfa: Dfa, w: Word) -> tuple[Word, Word, Word]:
     return (a, b, c)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of checking a DFA's language against a ball.
 
     sound: every accepted word of length <= radius is geodesic.

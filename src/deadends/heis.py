@@ -15,8 +15,7 @@ serves it to depth as a distance oracle, so the family needs no ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import DeadendError, GenAlphabet, Letter, MarkedGroup, OutOfBox, Word
 from .search import BallIndex, ClaimViolation, DepthReport, InsufficientRadius, _distance, depth
@@ -175,8 +174,7 @@ def dd_witness(n: int) -> Word:
 # with k preserved fails an oracle check already at (1,1,-1).
 
 
-@dataclass(frozen=True)
-class _Symmetry:
+class _Symmetry(NamedTuple):
     swap: bool
     e1: int
     e2: int
@@ -253,8 +251,7 @@ def nh_box(m: int, n: int):
     return predicate, bounds
 
 
-@dataclass(frozen=True)
-class HeisFamilyRow:
+class HeisFamilyRow(NamedTuple):
     n: int
     distance: int
     depth_lower_bound: int

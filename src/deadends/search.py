@@ -45,11 +45,10 @@ in closed form and stores nothing.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .core import DeadendError, MarkedGroup
 
@@ -58,6 +57,10 @@ DEFAULT_BUDGET = 5_000_000
 
 class ResourceCap(DeadendError):
     """Element budget exceeded while building a ball index."""
+
+
+class CapExceeded(DeadendError):
+    """Search exhausted its length or radius cap without an answer."""
 
 
 class NotInBall(DeadendError):
@@ -94,7 +97,6 @@ def default_budget() -> int:
     return value
 
 
-@dataclass
 class BallIndex:
     """Exact distance table for the closed ball of the given radius.
 
@@ -105,10 +107,11 @@ class BallIndex:
     hand-built, computes it from the table on first use.
     """
 
-    group: MarkedGroup
-    radius: int
-    table: dict  # element -> distance, in BFS or (distance, element) order
-    spheres: dict  # distance -> element count
+    def __init__(self, group: MarkedGroup, radius: int, table: dict, spheres: dict):
+        self.group = group
+        self.radius = radius
+        self.table = table  # element -> distance, in BFS or (distance, element) order
+        self.spheres = spheres  # distance -> element count
 
     def __len__(self) -> int:
         return len(self.table)
@@ -261,8 +264,7 @@ def _uniform_cost(group: MarkedGroup, start, cap):
                 heappush(heap, (nd, n))
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(NamedTuple):
     """Depth of one element.  When exceeds_cap is set, depth is a lower
     bound (the search found nothing farther within the cap) and witness
     is absent."""
@@ -458,8 +460,7 @@ def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
     raise DeadendError("unreachable: zero-width window always exists")
 
 
-@dataclass(frozen=True)
-class TransferRow:
+class TransferRow(NamedTuple):
     source: Any
     source_depth: int
     source_exceeds_cap: bool
@@ -469,8 +470,7 @@ class TransferRow:
     target_depth_lb: int
 
 
-@dataclass
-class TransferReport:
+class TransferReport(NamedTuple):
     bound: int
     rows: list
     sources_scanned: int

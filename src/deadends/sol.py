@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     DeadendError,
+    Frozen,
     GenAlphabet,
     Letter,
     MarkedGroup,
@@ -46,7 +46,7 @@ from .core import (
     Word,
     json_int,
 )
-from .search import BallIndex, ClaimViolation, ResourceCap, default_budget
+from .search import BallIndex, CapExceeded, ClaimViolation, ResourceCap, default_budget
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Vec2 = tuple[int, int]
@@ -56,10 +56,6 @@ SolElement = tuple[int, int, int]
 
 class NotHyperbolic(DeadendError):
     """Matrix is not an Anosov integer matrix (wrong det or trace too small)."""
-
-
-class CapExceeded(DeadendError):
-    """Search exhausted its length or radius cap without an answer."""
 
 
 def _mat_mul2(a: Mat2, b: Mat2) -> Mat2:
@@ -145,11 +141,22 @@ def char_poly(R: HypMatrix) -> "LaurentPoly":
     return LaurentPoly.from_terms([(2, 1), (1, -R.trace), (0, R.det)])
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Integer Laurent polynomial, stored as sorted (degree, coeff) pairs."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        return type(other) is LaurentPoly and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
+
+    def __repr__(self):
+        return "LaurentPoly(terms=%r)" % (self.terms,)
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -240,8 +247,7 @@ class LaurentPoly:
 _ZERO = LaurentPoly()
 
 
-@dataclass(frozen=True)
-class SupportVector:
+class SupportVector(NamedTuple):
     """Pair of Laurent polynomials recording a- and b-deposits per degree."""
 
     p1: LaurentPoly
@@ -867,8 +873,7 @@ def abs_norm(g: SolElement, R: HypMatrix, l_cap: int = 24) -> int:
 # Gap between the Sol metric and the wreath metric.
 
 
-@dataclass(frozen=True)
-class BdiffReport:
+class BdiffReport(NamedTuple):
     """Per-element comparison of the Sol word norm with the wreath norm."""
 
     rows: tuple[tuple[SolElement, int, int, int], ...]
@@ -887,10 +892,13 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
 
     Each norm is read from the minimal extents of the plane part, with no
     support built; a plane part with no support within l_cap is skipped,
-    as minimal_reps would raise CapExceeded for it.
+    as minimal_reps would raise CapExceeded for it.  A negative l_cap is
+    refused: no support, not even the empty one, would fit it.
     """
     if l_cap is None:
         l_cap = index.radius
+    if l_cap < 0:
+        raise DeadendError("support length cap must be >= 0, got %d" % l_cap)
     extents_cache: dict[Vec2, frozenset[tuple[int, int, int]] | None] = {}
     rows: list[tuple[SolElement, int, int, int]] = []
     skipped = 0
@@ -927,8 +935,7 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
 # Logarithmic integer expansions along powers of R.
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """n as a signed sum of entries p_m = (R^m)_{11}: digits holds
     (power, entry_value, multiplicity), length is the sum of the |multiplicity|
     and bound the exact, logarithmic integer it never exceeds."""

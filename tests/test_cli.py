@@ -292,6 +292,17 @@ class TestSolGap:
         assert main(["sol-gap", "--spec", specs["heis"], "--radius", "4",
                      "--out", str(tmp_path)]) == 2
 
+    def test_negative_cap_exits_2(self, specs, tmp_path, capsys):
+        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "3",
+                     "--cap", "-1", "--out", str(tmp_path / "neg")]) == 2
+        assert capsys.readouterr().err == \
+            "error: support length cap must be >= 0, got -1\n"
+        assert not (tmp_path / "neg").exists()
+        # cap 0 still certifies the seven elements whose plane part is zero
+        assert main(["sol-gap", "--spec", specs["sol"], "--radius", "3",
+                     "--cap", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert "checked=7 skipped=96" in capsys.readouterr().out
+
 
 class TestDfa:
     def test_sorted_fixture_passes(self, specs, tmp_path):
@@ -363,12 +374,53 @@ class TestDeterminism:
                 (tmp_path / "b" / name).read_bytes()
 
 
+def _child_env():
+    """The environment of a child that imports the package under test,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(deadends.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+class TestImportFootprint:
+    """A command loads the family module it runs and no other; no module
+    of the package loads dataclasses."""
+
+    FAMILIES = {"deadends.abelian", "deadends.geolang", "deadends.heis", "deadends.sol"}
+
+    def loaded(self, *argv):
+        """Modules a fresh interpreter loads for import deadends.cli, then
+        for cli.main(argv) when argv is given."""
+        code = ("import sys\nbefore = set(sys.modules)\nimport deadends.cli\n"
+                "if sys.argv[1:]:\n    deadends.cli.main(sys.argv[1:])\n"
+                "print(*sorted(set(sys.modules) - before))\n")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    def test_import_loads_no_family(self):
+        loaded = self.loaded()
+        assert "deadends.cli" in loaded
+        assert not loaded & (self.FAMILIES | {"dataclasses"})
+
+    def test_heis_family_loads_heis_alone(self, tmp_path):
+        loaded = self.loaded("heis-family", "--n-max", "3", "--out", str(tmp_path))
+        assert (tmp_path / "heis_family.csv").exists()
+        assert loaded & self.FAMILIES == {"deadends.heis"}
+        assert "dataclasses" not in loaded
+
+    def test_sol_gap_loads_sol_alone(self, specs, tmp_path):
+        loaded = self.loaded("sol-gap", "--spec", specs["sol"], "--radius", "2",
+                             "--out", str(tmp_path))
+        assert (tmp_path / "sol_gap.csv").exists()
+        assert loaded & self.FAMILIES == {"deadends.sol"}
+        assert "dataclasses" not in loaded
+
+
 class TestBudgetEnv:
     def test_budget_env_var_caps_the_search(self, specs, tmp_path):
-        # the child imports the package under test, installed or not
-        src = os.path.dirname(os.path.dirname(deadends.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, DEADEND_BUDGET="100", PYTHONPATH=path)
+        env = dict(_child_env(), DEADEND_BUDGET="100")
         proc = subprocess.run(
             [sys.executable, "-m", "deadends.cli", "ball",
              "--spec", specs["heis"], "--radius", "10",

@@ -1,14 +1,19 @@
 """Alphabet, word, and evaluation plumbing."""
 
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from deadends.abelian import EuclideanGroup, EuclideanSpec, standard_zn
+from deadends.abelian import (DepthBoundReport, EuclideanGroup, EuclideanSpec, Facet,
+                              SandwichReport, ScaledPolytope, WeightedGenSet, standard_zn)
 from deadends.core import GenAlphabet, UnknownLetter, Word
-from deadends.geolang import FreeGroup
-from deadends.heis import HeisenbergGroup
-from deadends.search import ball
-from deadends.sol import SolGroup, WreathZ2Z
+from deadends.geolang import Dfa, FreeGroup, VerifyReport
+from deadends.heis import HeisenbergGroup, HeisFamilyRow, _Symmetry
+from deadends.search import DepthReport, TransferRow, ball
+from deadends.sol import (BdiffReport, ExpansionReport, LaurentPoly, SolGroup, SupportVector,
+                          WreathZ2Z)
 
 AB = GenAlphabet(("a", "b"))
 
@@ -117,3 +122,75 @@ class TestEvaluate:
         h = HeisenbergGroup()
         with pytest.raises(UnknownLetter):
             h.evaluate(Word(((7, 1),)))
+
+
+# Every class that was a frozen dataclass keeps the value contract the
+# decorator gave it: keyword construction with its defaults, == and hash
+# between equal constructions, a pickle round trip, and AttributeError on
+# assigning or deleting a field.  Each case is (make, field, defaults); Dfa and VerifyReport,
+# which hold a dict, compare equal but were never hashable.
+_AB_DFA = dict(n_states=2, start=0, accept=frozenset({0, 1}),
+               trans={(0, (0, 1)): 1, (1, (0, 1)): 1}, alphabet=AB)
+_POINT_GROUP = (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+VALUE_CASES = {
+    "GenAlphabet": (lambda: GenAlphabet(names=("a", "b")), "names", {}),
+    "Word": (lambda: Word(), "letters", {"letters": ()}),
+    "DepthReport": (lambda: DepthReport(element=(1, 0, 0), distance_from_identity=1,
+                                        depth=2, witness=(2, 0, 0)),
+                    "depth", {"exceeds_cap": False}),
+    "TransferRow": (lambda: TransferRow(source=(0,), source_depth=3,
+                                        source_exceeds_cap=False, fuzz_radius=1, slack=0,
+                                        target=(0,), target_depth_lb=2), "slack", {}),
+    "WeightedGenSet": (lambda: WeightedGenSet(n=1, gens=(((1,), 2),)), "gens", {}),
+    "Facet": (lambda: Facet(vertices=((1, 0),), functional=(Fraction(1), Fraction(0))),
+              "vertices", {}),
+    "ScaledPolytope": (lambda: ScaledPolytope(M=1, scaled=((1,),), points=((1,), (-1,)),
+                                              facets=()), "M", {}),
+    "DepthBoundReport": (lambda: DepthBoundReport(bound=5, cell_distance=1,
+                                                  max_depth_seen=2, elements_checked=9),
+                         "bound", {}),
+    "EuclideanSpec": (lambda: EuclideanSpec(n=2, point_group=_POINT_GROUP,
+                                            gens=(((1, 0), _POINT_GROUP[1]),)),
+                      "gen_names", {"gen_names": ("g0",)}),
+    "SandwichReport": (lambda: SandwichReport(observed_gap=1, gap_bound=4,
+                                              elements_checked=7), "gap_bound", {}),
+    "Dfa": (lambda: Dfa(**_AB_DFA), "start", {}),
+    "VerifyReport": (lambda: VerifyReport(sound=True, complete=False, radius=3,
+                                          words_checked=4, elements_covered=5,
+                                          counterexample_word=Word(((0, 1),)),
+                                          counterexample_element="(1)",
+                                          dfa=Dfa(**_AB_DFA)), "sound", {}),
+    "_Symmetry": (lambda: _Symmetry(swap=True, e1=1, e2=-1), "swap", {}),
+    "HeisFamilyRow": (lambda: HeisFamilyRow(n=3, distance=14, depth_lower_bound=2,
+                                            rederived_lower_bound=2, bfs_depth=3,
+                                            bfs_depth_exceeds_cap=False), "n", {}),
+    "LaurentPoly": (lambda: LaurentPoly(), "terms", {"terms": ()}),
+    "SupportVector": (lambda: SupportVector(p1=LaurentPoly(terms=((0, 1),)),
+                                            p2=LaurentPoly(terms=((-1, 2),))), "p1", {}),
+    "BdiffReport": (lambda: BdiffReport(rows=(((0, 0, 0), 0, 0, 0),), max_gap=0,
+                                        elements_checked=1, skipped=0), "rows", {}),
+    "ExpansionReport": (lambda: ExpansionReport(n=5, digits=((2, 5, 1),), length=1,
+                                                bound=3), "length", {}),
+}
+UNHASHABLE = {"Dfa", "VerifyReport"}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CASES))
+def test_value_contract(name):
+    make, field, defaults = VALUE_CASES[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == b and a is not b and not a != b
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for attr, value in defaults.items():
+        assert getattr(a, attr) == value
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from deadends.core import OutOfBox, Word
+from deadends.core import DeadendError, OutOfBox, Word
 from deadends.search import BallIndex, ClaimViolation, ResourceCap, ball, deadend_scan, depth
 from deadends.sol import (
     BdiffReport,
@@ -558,6 +558,15 @@ class TestMinimalExtents:
         report = bdiff_gap(R, index, l_cap)
         assert report.skipped == skipped
         assert report == reference_bdiff_gap(R, index, radius if l_cap is None else l_cap)
+
+    def test_bdiff_gap_refuses_a_negative_cap(self):
+        # No support fits a negative cap, not even the identity's empty one.
+        index = ball(SolGroup(R_FIX), 3)
+        with pytest.raises(DeadendError, match="cap must be >= 0, got -1"):
+            bdiff_gap(R_FIX, index, -1)
+        report = bdiff_gap(R_FIX, index, 0)
+        assert report.rows[0] == ((0, 0, 0), 0, 0, 0)
+        assert (report.elements_checked, report.skipped) == (7, 96)
 
     def test_extents_memo_counts_against_the_budget(self, monkeypatch):
         z = (7, 3)
