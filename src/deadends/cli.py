@@ -41,21 +41,37 @@ class SpecError(DeadendError):
     """Group spec file is missing, malformed, or fails kind validation."""
 
 
-def _file_sha256(path: Path) -> str:
+def _sha256(data: bytes) -> str:
+    """Hex sha256 of bytes already read.  hashlib loads OpenSSL, so only
+    the runs that write a hash import it."""
     import hashlib
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_group_spec(path: str | Path) -> tuple[MarkedGroup, dict]:
     """Instantiate the marked group described by a spec file.
 
-    Returns (group, metadata); metadata carries the kind and a content
-    hash so downstream JSON reports pin the exact input.
+    Returns (group, metadata); metadata carries the kind, the path and the
+    sha256 of the bytes parsed, so downstream JSON reports pin the exact
+    input.
     """
+    group, meta, data = _read_spec(path)
+    return group, _hashed(meta, data)
+
+
+def _hashed(meta: dict, data: bytes) -> dict:
+    """Spec metadata with the sha256 of the bytes parsed added."""
+    return dict(meta, sha256=_sha256(data))
+
+
+def _read_spec(path: str | Path) -> tuple[MarkedGroup, dict, bytes]:
+    """(group, {"kind", "path"}, the file's bytes): load_group_spec
+    without the hash, for the commands that write one only to JSON."""
     p = Path(path)
     try:
-        obj = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = p.read_bytes()
+        obj = json.loads(data)
+    except (OSError, ValueError) as exc:
         raise SpecError("cannot read spec %s: %s" % (p, exc)) from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("spec %s must be an object with a 'kind' field" % p)
@@ -87,8 +103,7 @@ def load_group_spec(path: str | Path) -> tuple[MarkedGroup, dict]:
         raise
     except (DeadendError, KeyError, TypeError, ValueError) as exc:
         raise SpecError("invalid %s spec %s: %s" % (kind, p, exc)) from exc
-    meta = {"kind": kind, "path": str(p), "sha256": _file_sha256(p)}
-    return group, meta
+    return group, {"kind": kind, "path": str(p)}, data
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]):
@@ -114,14 +129,14 @@ def _depth_cell(depth_value: int, exceeds_cap: bool) -> str:
 
 def cmd_ball(spec: str, radius: int, out: str, fmt: str = "csv") -> int:
     """Sphere-size table for the ball; full element dump in JSON mode."""
-    group, meta = load_group_spec(spec)
+    group, meta, data = _read_spec(spec)
     index = ball(group, radius)
     rows = index.sphere_rows()
     out_dir = Path(out)
     _write_csv(out_dir / "ball.csv", ("radius", "count"), rows)
     if fmt == "json":
         payload = index.to_json_obj(include_elements=True)
-        payload["spec"] = meta
+        payload["spec"] = _hashed(meta, data)
         _write_json(out_dir / "ball.json", payload)
     print("ball radius=%d size=%d" % (radius, len(index)))
     return EXIT_OK
@@ -136,7 +151,7 @@ def cmd_depth_scan(
     fmt: str = "csv",
 ) -> int:
     """Dead-end scan; one CSV row per certified element of depth >= min_depth."""
-    group, meta = load_group_spec(spec)
+    group, meta, data = _read_spec(spec)
     index = ball(group, radius)
     reports = deadend_scan(index, min_depth, cap=cap)
     rows = [
@@ -148,7 +163,7 @@ def cmd_depth_scan(
     _write_csv(out_dir / "depth_scan.csv", ("element", "distance", "depth"), rows)
     if fmt == "json":
         _write_json(out_dir / "depth_scan.json", {
-            "spec": meta,
+            "spec": _hashed(meta, data),
             "radius": radius,
             "min_depth": min_depth,
             "cap": cap,
@@ -206,11 +221,14 @@ def cmd_sol_gap(
     cap: Optional[int] = None,
     fmt: str = "csv",
 ) -> int:
-    """Norm-vs-distance sweep over a Sol ball; summary carries the max gap."""
-    group, meta = load_group_spec(spec)
+    """Norm-vs-distance sweep over a Sol ball; summary carries the max gap.
+    A negative cap is refused before the ball is built."""
+    group, meta, data = _read_spec(spec)
     if meta["kind"] != "sol":
         raise SpecError("sol-gap requires a spec with kind 'sol', got %s" % meta["kind"])
-    from .sol import bdiff_gap
+    from .sol import bdiff_gap, check_support_cap
+    if cap is not None:
+        check_support_cap(cap)
     index = ball(group, radius)
     report = bdiff_gap(group.R, index, l_cap=cap)
     rows = [
@@ -221,7 +239,7 @@ def cmd_sol_gap(
     _write_csv(out_dir / "sol_gap.csv", ("element", "distance", "norm", "gap"), rows)
     if fmt == "json":
         _write_json(out_dir / "sol_gap.json", {
-            "spec": meta,
+            "spec": _hashed(meta, data),
             "radius": radius,
             "max_gap": report.max_gap,
             "elements_checked": report.elements_checked,
@@ -246,15 +264,15 @@ def cmd_dfa(dfa_file: str, spec: str, radius: int, out: str) -> int:
     group, meta = load_group_spec(spec)
     p = Path(dfa_file)
     try:
-        dfa = Dfa.from_json_obj(json.loads(p.read_text()), group.alphabet)
-    except (DeadendError, OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+        data = p.read_bytes()
+        dfa = Dfa.from_json_obj(json.loads(data), group.alphabet)
+    except (DeadendError, OSError, KeyError, TypeError, ValueError) as exc:
         raise SpecError("cannot load DFA %s: %s" % (p, exc)) from exc
     index = ball(group, radius)
     rep = verify_language(dfa, group, index)
     report = {
         "spec": meta,
-        "dfa": {"path": str(p), "sha256": _file_sha256(p), "states": dfa.n_states},
+        "dfa": {"path": str(p), "sha256": _sha256(data), "states": dfa.n_states},
         "radius": radius,
         "sound": rep.sound,
         "complete": rep.complete,

@@ -403,6 +403,8 @@ def _add_unit(terms: tuple, k: int, s: int) -> Optional[tuple]:
 
 # The extents of the empty support, the one minimal support of 0.
 _ZERO_EXTENTS = frozenset({(0, 0)})
+# The residue set of the trivial sieve mod 1, which every vector passes.
+_ALL = frozenset({0})
 
 
 class _SupportSearch:
@@ -411,11 +413,14 @@ class _SupportSearch:
     extents memos.
 
     Memo keys are (x, y, l).  reach[(x, y, l)] says whether (x, y) has a
-    support of length at most l; reps[(x, y, l)] holds every support of
-    length exactly l found through in-window strips, as sorted
-    (p1 terms, p2 terms) pairs; extents[(x, y, l)], for l the minimal
-    length of (x, y), holds the clamped (max(0, top), min(0, bot)) pairs
-    of its minimal supports.  All three memos count against `budget`.
+    support of length at most l: False if not, else the window of (x, y, l),
+    which `extents` and `reps` read back, so each window is computed once;
+    reps[(x, y, l)] holds every support of length exactly l found through
+    in-window strips, as sorted (p1 terms, p2 terms) pairs;
+    extents[(x, y, l)], for l the minimal length of (x, y), holds the
+    clamped (max(0, top), min(0, bot)) pairs of its minimal supports.  All
+    three memos count against `budget`.  Level 1 takes no memo entry: it
+    reads the units of the strip tables built so far.
 
     A residue sieve settles most reach queries at levels 1 and 2 in
     integers, before any window.  Take the least k in 1..64 with m = gcd
@@ -430,7 +435,10 @@ class _SupportSearch:
     integer matrix are periodic modulo every m (Wall, "Fibonacci series
     modulo m", 1960); for [[2, 1], [1, 1]] the test first holds at
     k = 15, with m = 1364, |U| = 60 and |S| = 1501.  If no k qualifies,
-    m = 1 and U = S = {0}, which every vector passes.
+    m = 1 and U = S = {0}, which every vector passes.  Above level 2 the
+    sieve is that trivial one.  `sieve` hands out the modulus and residue
+    set of a level; `reach` applies it to its query and both strip loops
+    to each remainder, before any memo lookup or recursive call.
     """
 
     def __init__(self, R: HypMatrix):
@@ -448,14 +456,17 @@ class _SupportSearch:
         self._log_t = 2.0 * math.log((abs(tr) + math.sqrt(disc)) / 2.0)
         self._c2 = self._window_constant() ** 2
         self._strips: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        self._units: dict[int, frozenset[Vec2]] = {}
-        self.reach_memo: dict[tuple[int, int, int], bool] = {}
+        # Every unit of a table built so far, to the (k, comp) of one
+        # sign R^k e_comp equal to it.
+        self._units: dict[Vec2, tuple[int, int]] = {}
+        self.reach_memo: dict[tuple[int, int, int], int] = {}
         self.reps_memo: dict[tuple[int, int, int], tuple] = {}
         self.extents_memo: dict[tuple[int, int, int], frozenset[tuple[int, int]]] = {}
         self.budget = 0
-        self._mod, self._residues = self._sieve()
+        self._mod, self._residues = self._build_sieve()
+        self._basis_degrees = tuple(self._unit_degrees(*e) for e in ((1, 0), (0, 1)))
 
-    def _sieve(self) -> tuple[int, tuple[frozenset[int], frozenset[int]]]:
+    def _build_sieve(self) -> tuple[int, tuple[frozenset[int], frozenset[int]]]:
         """The modulus m and the residue sets (U, S) of levels 1 and 2."""
         R = self._R
         for k in range(1, 65):
@@ -464,7 +475,7 @@ class _SupportSearch:
             if m * m > 256 * (4 * k + 1) ** 2:
                 break
         else:
-            return 1, (frozenset({0}), frozenset({0}))
+            return 1, (_ALL, _ALL)
         units = {(s * R.power(j)[0][i] % m, s * R.power(j)[1][i] % m)
                  for j in range(k) for i in (0, 1) for s in (1, -1)}
         # U = -U, so the pair sums hold u + (-u) = 0.
@@ -561,8 +572,21 @@ class _SupportSearch:
                     table.append((k, comp, 1, dx, dy))
                     table.append((k, comp, -1, -dx, -dy))
             self._strips[N] = table
-            self._units[N] = frozenset((dx, dy) for _k, _c, _s, dx, dy in table)
+            for k, comp, _s, dx, dy in table:
+                self._units.setdefault((dx, dy), (k, comp))
         return table
+
+    def _unit_degrees(self, x: int, y: int) -> tuple[int, ...]:
+        """Every k with (x, y) = sign R^k e_comp for some sign and comp;
+        the window of (x, y, 1) holds them all."""
+        table = self.strips(self.window(x, y, 1))
+        return tuple(k for k, _c, _s, dx, dy in table if dx == x and dy == y)
+
+    def sieve(self, l: int) -> tuple[int, frozenset[int]]:
+        """(m, residues) of level l >= 1: every (x, y) with a support of
+        length at most l has (x mod m) m + (y mod m) in residues.  U at
+        level 1, S at level 2, and the trivial {0} mod 1 above."""
+        return (self._mod, self._residues[l - 1]) if l <= 2 else (1, _ALL)
 
     def _store(self, memo: dict, key: tuple[int, int, int], value) -> None:
         if (len(self.reach_memo) + len(self.reps_memo)
@@ -570,6 +594,11 @@ class _SupportSearch:
             raise ResourceCap(
                 "support memo reached the budget of %d entries" % self.budget)
         memo[key] = value
+
+    def _window(self, x: int, y: int, l: int) -> int:
+        """The window of (x, y, l), read from the reach memo when `reach`
+        found a support there, else computed."""
+        return self.reach_memo.get((x, y, l)) or self.window(x, y, l)
 
     def reach(self, x: int, y: int, l: int) -> bool:
         """Whether (x, y) has a support of length at most l.
@@ -581,41 +610,53 @@ class _SupportSearch:
         sieve (see the class docstring): a z whose residue mod m is not in
         U (level 1) or S (level 2) has no support that short, and that
         answer takes no window and no memo entry.  Past the sieve, level 1
-        is a lookup among the units of the window of (z, 1), again with no
-        memo entry.  Levels 2 and up run one loop over the in-window strips,
-        looking each remainder up in the memo before any recursion.
+        answers True for a unit of a strip table built so far, with no
+        window; otherwise it builds the table of the window of (z, 1),
+        which holds z if z is a unit at all.  Level 1 takes no memo entry,
+        so a non-unit that passes the sieve takes its window on each query.
+        Levels 2 and up run one loop over the in-window strips: a zero
+        remainder answers True, a remainder that the sieve of level l - 1
+        rejects is dropped, and the rest are looked up in the memo before
+        any recursion.  A True answer is stored as the window.
         """
         if x == 0 and y == 0:
             return True
         if l <= 0:
             return False
         if l <= 2:
-            mod = self._mod
-            if x % mod * mod + y % mod not in self._residues[l - 1]:
+            mod, residues = self.sieve(l)
+            if x % mod * mod + y % mod not in residues:
                 return False
             if l == 1:
-                N = self.window(x, y, 1)
-                self.strips(N)
-                return (x, y) in self._units[N]
+                if (x, y) not in self._units:
+                    self.strips(self.window(x, y, 1))
+                return (x, y) in self._units
         memo = self.reach_memo
         key = (x, y, l)
         found = memo.get(key)
         if found is not None:
-            return found
+            return found is not False
         m = l - 1
+        mod, residues = self.sieve(m)
+        N = self.window(x, y, l)
         found = False
         open_rests = []
-        for _k, _c, _s, dx, dy in self.strips(self.window(x, y, l)):
+        for _k, _c, _s, dx, dy in self.strips(N):
             rx, ry = x - dx, y - dy
+            if rx == 0 and ry == 0:
+                found = True
+                break
+            if rx % mod * mod + ry % mod not in residues:
+                continue
             hit = memo.get((rx, ry, m))
-            if hit or (rx == 0 and ry == 0):
+            if hit:
                 found = True
                 break
             if hit is None:
                 open_rests.append((rx, ry))
         else:
             found = any(self.reach(rx, ry, m) for rx, ry in open_rests)
-        self._store(memo, key, found)
+        self._store(memo, key, N if found else False)
         return found
 
     def reps(self, x: int, y: int, l: int) -> tuple:
@@ -633,7 +674,7 @@ class _SupportSearch:
             return found
         m = l - 1
         out = set()
-        for k, comp, s, dx, dy in self.strips(self.window(x, y, l)):
+        for k, comp, s, dx, dy in self.strips(self._window(x, y, l)):
             rx, ry = x - dx, y - dy
             if not self.reach(rx, ry, m):
                 continue
@@ -660,8 +701,14 @@ class _SupportSearch:
         remainder's support, since that would leave a support of z of
         length l - 2.  A remainder with a support of length l - 1 has none
         shorter, or z would have one shorter than l, so every remainder
-        the recursion visits is again at its own minimal length.  The
-        remainder is 0 only when z is a unit, at m = 0.
+        the recursion visits is again at its own minimal length.
+
+        Level 1 needs no window.  If z = s R^k e_i, then s' R^j e_i' = z
+        exactly when s s' R^(j - k) e_i' = e_i, so the degrees of the units
+        equal to z are k plus those of the units equal to e_i, which
+        __init__ lists once.  From level 2 on the loop runs over the window
+        `reach` stored for (x, y, l) and drops a remainder that the sieve
+        of level l - 1 rejects before asking `reach`.
         """
         if l == 0:
             return _ZERO_EXTENTS
@@ -669,14 +716,20 @@ class _SupportSearch:
         found = self.extents_memo.get(key)
         if found is not None:
             return found
-        m = l - 1
-        out = set()
-        for k, _c, _s, dx, dy in self.strips(self.window(x, y, l)):
-            rx, ry = x - dx, y - dy
-            if self.reach(rx, ry, m):
-                for hi, lo in self.extents(rx, ry, m):
-                    out.add((k if k > hi else hi, k if k < lo else lo))
-        found = frozenset(out)
+        if l == 1:
+            k, comp = self._units[(x, y)]
+            found = frozenset((max(k + n, 0), min(k + n, 0))
+                              for n in self._basis_degrees[comp])
+        else:
+            m = l - 1
+            mod, residues = self.sieve(m)
+            out = set()
+            for k, _c, _s, dx, dy in self.strips(self._window(x, y, l)):
+                rx, ry = x - dx, y - dy
+                if rx % mod * mod + ry % mod in residues and self.reach(rx, ry, m):
+                    for hi, lo in self.extents(rx, ry, m):
+                        out.add((k if k > hi else hi, k if k < lo else lo))
+            found = frozenset(out)
         self._store(self.extents_memo, key, found)
         return found
 
@@ -882,6 +935,13 @@ class BdiffReport(NamedTuple):
     skipped: int
 
 
+def check_support_cap(l_cap: int) -> None:
+    """Refuse a negative support length cap: no support, not even the
+    empty one, fits it."""
+    if l_cap < 0:
+        raise DeadendError("support length cap must be >= 0, got %d" % l_cap)
+
+
 def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> BdiffReport:
     """Compare |g| (from the ball) with ||g|| (minimal-support norm).
 
@@ -893,12 +953,11 @@ def bdiff_gap(R: HypMatrix, index: BallIndex, l_cap: Optional[int] = None) -> Bd
     Each norm is read from the minimal extents of the plane part, with no
     support built; a plane part with no support within l_cap is skipped,
     as minimal_reps would raise CapExceeded for it.  A negative l_cap is
-    refused: no support, not even the empty one, would fit it.
+    refused (check_support_cap).
     """
     if l_cap is None:
         l_cap = index.radius
-    if l_cap < 0:
-        raise DeadendError("support length cap must be >= 0, got %d" % l_cap)
+    check_support_cap(l_cap)
     extents_cache: dict[Vec2, frozenset[tuple[int, int, int]] | None] = {}
     rows: list[tuple[SolElement, int, int, int]] = []
     skipped = 0

@@ -76,6 +76,26 @@ class TestBall:
         assert main(["ball", "--spec", str(bad), "--radius", "2",
                      "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_spec_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"kind": "heis\xffenberg"}')
+        assert main(["ball", "--spec", str(bad), "--radius", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert "cannot read spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["ball", "--radius", "2"], "ball.json"),
+        (["depth-scan", "--radius", "2", "--min-depth", "1"], "depth_scan.json"),
+        (["sol-gap", "--radius", "2"], "sol_gap.json"),
+    ], ids=["ball", "depth-scan", "sol-gap"])
+    def test_json_mirror_hashes_the_spec_bytes(self, specs, tmp_path, argv, name):
+        assert main(argv + ["--spec", specs["sol"], "--out", str(tmp_path),
+                            "--format", "json"]) == 0
+        spec = json.loads((tmp_path / name).read_text())["spec"]
+        with open(specs["sol"], "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert spec == {"kind": "sol", "path": specs["sol"], "sha256": digest}
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["ball", "--spec", str(tmp_path / "nope.json"),
                      "--radius", "2", "--out", str(tmp_path)]) == 2
@@ -303,6 +323,16 @@ class TestSolGap:
                      "--cap", "0", "--out", str(tmp_path / "zero")]) == 0
         assert "checked=7 skipped=96" in capsys.readouterr().out
 
+    def test_negative_cap_refused_before_the_ball(self, specs, tmp_path):
+        # B(12) outgrows a budget of 50 at once: a budget violation would
+        # mean the ball was built before the cap was read.
+        proc = subprocess.run(
+            [sys.executable, "-m", "deadends.cli", "sol-gap", "--spec", specs["sol"],
+             "--radius", "12", "--cap", "-1", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(_child_env(), DEADEND_BUDGET="50"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: support length cap must be >= 0, got -1\n"
+
 
 class TestDfa:
     def test_sorted_fixture_passes(self, specs, tmp_path):
@@ -313,6 +343,9 @@ class TestDfa:
         report = json.loads((tmp_path / "dfa_report.json").read_text())
         assert report["sound"] and report["complete"]
         assert report["max_depth"] == 1 and report["bound"] == 10
+        for key, path in (("spec", specs["z2"]), ("dfa", str(dfa_path))):
+            with open(path, "rb") as fh:
+                assert report[key]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
     def test_broken_dfa_reports_counterexample(self, specs, tmp_path):
         broken = {"states": 1, "start": 0, "accept": [0],
@@ -384,7 +417,8 @@ def _child_env():
 
 class TestImportFootprint:
     """A command loads the family module it runs and no other; no module
-    of the package loads dataclasses."""
+    of the package loads dataclasses, and only a run that writes a hash
+    loads OpenSSL (_hashlib)."""
 
     FAMILIES = {"deadends.abelian", "deadends.geolang", "deadends.heis", "deadends.sol"}
 
@@ -416,6 +450,17 @@ class TestImportFootprint:
         assert (tmp_path / "sol_gap.csv").exists()
         assert loaded & self.FAMILIES == {"deadends.sol"}
         assert "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["depth-scan", "--radius", "4", "--min-depth", "2"],
+        ["sol-gap", "--radius", "2"],
+    ], ids=["depth-scan", "sol-gap"])
+    def test_only_json_runs_load_hashlib(self, specs, tmp_path, argv):
+        argv = argv + ["--spec", specs["sol"]]
+        csv_only = self.loaded(*argv, "--out", str(tmp_path / "csv"))
+        assert "_hashlib" not in csv_only and "hashlib" not in csv_only
+        both = self.loaded(*argv, "--out", str(tmp_path / "json"), "--format", "json")
+        assert "_hashlib" in both
 
 
 class TestBudgetEnv:

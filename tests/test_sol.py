@@ -22,6 +22,7 @@ from deadends.sol import (
     _extent,
     _minimal_extents,
     _support_search,
+    _SupportSearch,
     _sweep_length,
     abs_norm,
     apply_poly,
@@ -596,6 +597,45 @@ class TestMinimalExtents:
             two = one or any((z[0] - ux, z[1] - uy) in units for ux, uy in units)
             assert search.reach(*z, 2) == two, z
 
+    def test_each_window_computed_once(self, monkeypatch):
+        # reach stores a yes as its window, extents and reps read it back,
+        # and level 1 takes no window for a unit already in a strip table.
+        calls = []
+        window = _SupportSearch.window
+
+        def counted(search, x, y, l):
+            calls.append((x, y, l))
+            return window(search, x, y, l)
+
+        monkeypatch.setattr(_SupportSearch, "window", counted)
+        R = HypMatrix(R_FIX.rows)
+        report = bdiff_gap(R, ball(SolGroup(R), 8))
+        assert report.max_gap == 4 and report.skipped == 0
+        assert len(calls) <= len(set(calls))
+        search = R._support_search
+        assert (len(search.reach_memo), len(search.extents_memo)) == (4148, 2416)
+
+    @pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], R_DETM1, [[-1, -1], [1, 2]]],
+                             ids=["fix", "detm1", "shift2"])
+    def test_unit_extents_list_every_degree(self, rows):
+        # R_DETM1 has R e_2 = e_1 and [[-1, -1], [1, 2]] has R^2 e_1 = e_2, so
+        # a unit there equals units at two degrees; level 1 must list both.
+        R = HypMatrix(rows)
+        search = _support_search(R)
+        units = {}
+        for a in range(-14, 15):
+            for i in (0, 1):
+                for s in (1, -1):
+                    u = (s * R.power(a)[0][i], s * R.power(a)[1][i])
+                    units.setdefault(u, set()).add(a)
+        assert any(len(ks) > 1 for ks in units.values()) == (R != R_FIX)
+        for (x, y), ks in units.items():
+            if min(abs(k) for k in ks) > 10:
+                continue  # a degree past 14 could equal it too
+            want = frozenset((max(k, 0), min(k, 0)) for k in ks)
+            assert search.reach(x, y, 1)
+            assert search.extents(x, y, 1) == want, (x, y)
+
 
 def listed_units(R):
     """The units +-R^a e_i with |a| <= 15, listed without the sieve."""
@@ -605,8 +645,8 @@ def listed_units(R):
 
 def sieve_passes(search, x, y, l):
     """Whether (x, y) passes the residue sieve of level l, 1 or 2."""
-    m = search._mod
-    return x % m * m + y % m in search._residues[l - 1]
+    m, residues = search.sieve(l)
+    return x % m * m + y % m in residues
 
 
 class TestResidueSieve:
