@@ -18,7 +18,6 @@ from .core import (
 )
 from .search import (
     BallIndex,
-    BoundViolated,
     ClaimViolation,
     DepthReport,
     InsufficientRadius,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallIndex",
-    "BoundViolated",
     "ClaimViolation",
     "DeadendError",
     "DepthReport",

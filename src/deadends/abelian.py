@@ -162,6 +162,12 @@ def weighted_distances(ws: WeightedGenSet, targets: Iterable[Vec],
 
     Every target is reached, since generation is checked at construction
     time; a search that settles more than budget points raises ResourceCap.
+
+    The search is capped at budget * w_max, an integer, with w_max the
+    heaviest weight.  A finite settled set always has a letter leading out
+    of it, so the k-th point settled lies within (k - 1) * w_max, and the
+    first budget + 1 points settle the same with or without the cap: the
+    search returns or raises at the same point.
     """
     if budget is None:
         budget = default_budget()
@@ -174,7 +180,8 @@ def weighted_distances(ws: WeightedGenSet, targets: Iterable[Vec],
     if not remaining:
         return out
     group = WeightedZnGroup(ws)
-    for settled, (d, u) in enumerate(_uniform_cost(group, group.identity, math.inf), 1):
+    cap = budget * max(ws.weights)
+    for settled, (d, u) in enumerate(_uniform_cost(group, group.identity, cap), 1):
         if settled > budget:
             raise ResourceCap("weighted distance search exceeded budget %d" % budget)
         if u in remaining:

@@ -8,7 +8,7 @@ Each command imports the family module it runs, and each spec kind the one
 that defines its group, when it runs, so a command loads no other family.
 
 Exit codes: 0 success, 1 a checked claim failed or a resource cap was
-hit, 2 usage or input error.
+hit, 2 usage or input error, a malformed DEADEND_BUDGET among them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Any, Optional, Sequence
 
 from .core import DeadendError, MarkedGroup, json_names
 from .search import (
-    BoundViolated,
     CapExceeded,
     ClaimViolation,
     ResourceCap,
@@ -361,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ClaimViolation, BoundViolated, ResourceCap, CapExceeded) as exc:
+    except (ClaimViolation, ResourceCap, CapExceeded) as exc:
         print("violation: %s" % exc, file=sys.stderr)
         return EXIT_VIOLATION
     except DeadendError as exc:

@@ -28,14 +28,6 @@ index computes them on first use.  A scan still tests every letter
 lighter than min_depth on the dead ends it walks, so its exclusion stays
 exact.
 
-The transfer path (function_depth, local_max_from_slack,
-depth_transfer_check) reads tables defined on the ball only, so it cannot
-count an element past the ball as farther the way depth does.  It keeps a
-room rule instead: a search from an element at distance d0 runs to a cap
-of at most radius - d0, the room, and a larger cap raises
-InsufficientRadius.  Within the room every element the search meets, and
-every geodesic to it, lies in the ball, so the answer is exact.
-
 depth reads distances only through index.group, index.radius and
 index.get(e, default), so it runs unchanged on either of two oracles: a
 BallIndex, or heis.ClosedFormIndex, which computes Heisenberg distances
@@ -56,7 +48,7 @@ DEFAULT_BUDGET = 5_000_000
 
 
 class ResourceCap(DeadendError):
-    """Element budget exceeded while building a ball index."""
+    """Element or memo budget exceeded."""
 
 
 class CapExceeded(DeadendError):
@@ -71,14 +63,6 @@ class InsufficientRadius(DeadendError):
     """Index radius too small to certify the requested quantity."""
 
 
-class HypothesisViolated(DeadendError):
-    """A stated precondition fails on the supplied data."""
-
-
-class BoundViolated(DeadendError):
-    """Two tables differ by more than the promised bound."""
-
-
 class ClaimViolation(DeadendError):
     """An asserted distance or depth claim failed against the oracle."""
 
@@ -91,9 +75,9 @@ def default_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ResourceCap("DEADEND_BUDGET must be an integer, got %r" % raw) from None
+        raise DeadendError("DEADEND_BUDGET must be an integer, got %r" % raw) from None
     if value <= 0:
-        raise ResourceCap("DEADEND_BUDGET must be positive, got %d" % value)
+        raise DeadendError("DEADEND_BUDGET must be positive, got %d" % value)
     return value
 
 
@@ -146,7 +130,7 @@ class BallIndex:
 
     @cached_property
     def dead_ends(self) -> dict:
-        climbs = _outward_step(self, self.table.__getitem__, _lightest_weight(self.group) + 1)
+        climbs = _outward_step(self, _lightest_weight(self.group) + 1)
         return {e: d for e, d in self.table.items() if d < self.radius and not climbs(e, d)}
 
     def sphere_rows(self) -> list[tuple[int, int]]:
@@ -353,23 +337,22 @@ def _lightest_weight(group: MarkedGroup) -> int:
     return min(w for _lt, w in group.weighted_letters)
 
 
-def _outward_step(index: BallIndex, f: Callable[[Any], Any], b: int):
-    """Test (element, v) -> bool: does a letter of weight below b take
-    element to an indexed element whose f value exceeds v?
+def _outward_step(index: BallIndex, b: int):
+    """Test (element, d) -> bool: does a letter of weight below b take
+    element, at distance d, to a strictly farther indexed element?
 
-    When it does, with v = f(element), an outward search over the index
-    meets that neighbour at distance w < b, or stops at its cap below w,
-    so the f-depth it reports is at most w and never reaches b.
+    When it does, a depth search from element meets that neighbour at
+    distance w < b, or stops at its cap below w, so the depth it reports
+    is at most w and never reaches b.
     """
     group = index.group
-    table = index.table
+    get = index.table.get
     step = group.apply_letter
     light = [lt for lt, w in group.weighted_letters if w < b]
 
-    def climbs(element, v) -> bool:
+    def climbs(element, d) -> bool:
         for lt in light:
-            n = step(element, lt)
-            if n in table and f(n) > v:
+            if get(step(element, lt), -1) > d:
                 return True
         return False
 
@@ -401,9 +384,8 @@ def deadend_scan(index: BallIndex, min_depth: int, cap: Optional[int] = None) ->
         cap = min_depth
     if cap < min_depth:
         raise DeadendError("cap %d below min_depth %d" % (cap, min_depth))
-    table = index.table
-    walk = index.dead_ends if min_depth > _lightest_weight(index.group) else table
-    climbs = _outward_step(index, table.__getitem__, min_depth)
+    walk = index.dead_ends if min_depth > _lightest_weight(index.group) else index.table
+    climbs = _outward_step(index, min_depth)
     out = []
     for e, d0 in walk.items():
         if d0 >= index.radius or climbs(e, d0):
@@ -413,129 +395,3 @@ def deadend_scan(index: BallIndex, min_depth: int, cap: Optional[int] = None) ->
             out.append(report)
     out.sort(key=lambda r: (r.distance_from_identity, r.element))
     return out
-
-
-def local_max_from_slack(index: BallIndex, f: dict, a, r: int, n: int):
-    """From bounded slack to a local maximum.
-
-    Given a table f (element -> int) with f <= f(a) + n throughout the closed
-    r-ball around a, return (a', s) such that f attains a maximum over the
-    closed s-ball around a' at a', with s as large as the monotone-envelope
-    construction certifies (at most r // n).
-
-    The envelope g(x) = max f over the x-ball around a is nondecreasing
-    with total rise <= n inside radius r, so some window of width r // n
-    is usually flat.  The window hunt extends past r (up to r + r // n)
-    whenever the index has the room, which lets a maximum sitting exactly
-    on the boundary sphere certify its full window; with n rises packed
-    into n windows the flat window can still come up one short, in which
-    case the certified smaller s is returned rather than an unsound r // n.
-    """
-    d0 = index.distance(a)
-    if index.radius < d0 + r:
-        raise InsufficientRadius("need radius >= %d for slack window r=%d" % (d0 + r, r))
-    width = r // max(n, 1)
-    probe = min(r + width, index.radius - d0)
-    layers = {e: d for d, e in _uniform_cost(index.group, a, probe)}
-    fa = f[a]
-    worst = max(f[e] - fa for e, d in layers.items() if d <= r)
-    if worst > n:
-        raise HypothesisViolated(
-            "f exceeds f(a)+%d within radius %d (max slack %d)" % (n, r, worst))
-    if worst <= 0:
-        return a, r  # a already dominates the whole r-ball
-    # envelope over integer radii 0..probe
-    g = [fa] * (probe + 1)
-    for e, d in layers.items():
-        if f[e] > g[d]:
-            g[d] = f[e]
-    for x in range(1, probe + 1):
-        if g[x] < g[x - 1]:
-            g[x] = g[x - 1]
-    for s in range(width, -1, -1):
-        for x in range(0, min(r, probe - s) + 1):
-            if g[x] == g[x + s]:
-                best = min(e for e, d in layers.items() if d <= x and f[e] == g[x])
-                return best, s
-    raise DeadendError("unreachable: zero-width window always exists")
-
-
-class TransferRow(NamedTuple):
-    source: Any
-    source_depth: int
-    source_exceeds_cap: bool
-    fuzz_radius: int
-    slack: int
-    target: Any
-    target_depth_lb: int
-
-
-class TransferReport(NamedTuple):
-    bound: int
-    rows: list
-    sources_scanned: int
-
-
-def function_depth(index: BallIndex, f: dict, element, cap: int):
-    """Depth of element with respect to an arbitrary distance-like table f:
-    word-metric distance to the nearest element with a strictly larger f
-    value.  Returns (depth, exceeded) where exceeded means nothing larger
-    was found within cap (depth is then the lower bound cap+1).
-
-    f is defined on the ball only, so unlike depth the search cannot run
-    past it: the cap must fit in the room, index.radius - d(element), and
-    a larger cap raises InsufficientRadius (module docstring).
-    """
-    if cap < 1:
-        raise DeadendError("cap must be >= 1")
-    d0 = index.distance(element)
-    if cap > index.radius - d0:
-        raise InsufficientRadius("need radius >= %d for function depth cap %d" % (d0 + cap, cap))
-    f0 = f[element]
-    for d, e in _uniform_cost(index.group, element, cap):
-        if f[e] > f0:
-            return d, False
-    return cap + 1, True
-
-
-def depth_transfer_check(index: BallIndex, d1: dict, d2: dict, C: int,
-                         min_source_depth: Optional[int] = None) -> TransferReport:
-    """Transfer deep local maxima of d1 to certified local maxima of d2.
-
-    Requires |d1 - d2| < C pointwise.  Every element whose d1-depth D is at
-    least max(C+1, min_source_depth) yields a d2 local maximum via the slack
-    construction on the (D - C)-ball; the report row records the certified
-    d2-depth lower bound.  Every search keeps within the room of its source
-    (module docstring): D is found with cap radius - d0, and D - C <= that
-    cap since D <= cap + 1 and C >= 1.
-    """
-    if C < 1:
-        raise DeadendError("C must be >= 1")
-    for e in index.table:
-        if abs(d1[e] - d2[e]) >= C:
-            raise BoundViolated("|d1 - d2| >= %d at %s" % (C, index.group.render(e)))
-    threshold = max(C + 1, min_source_depth or 0)
-    climbs = _outward_step(index, d1.__getitem__, threshold)
-    rows = []
-    scanned = 0
-    for e, d0 in index.table.items():
-        cap = index.radius - d0
-        if cap < 1:
-            continue
-        if climbs(e, d1[e]):
-            continue
-        scanned += 1
-        D, exceeded = function_depth(index, d1, e, cap)
-        if D < threshold:
-            continue
-        r = D - C
-        if r < 1:
-            continue
-        slack = max(d2[x] - d2[e] for _d, x in _uniform_cost(index.group, e, r))
-        if slack <= 0:
-            target, s = e, r
-        else:
-            target, s = local_max_from_slack(index, d2, e, r, slack)
-        rows.append((d0, e, TransferRow(e, D, exceeded, r, max(slack, 0), target, s + 1)))
-    rows.sort(key=lambda row: row[:2])
-    return TransferReport(C, [row for _d0, _e, row in rows], scanned)

@@ -486,6 +486,15 @@ class TestBudgetEnv:
         assert "support memo" in capsys.readouterr().err
         assert not (tmp_path / "sol_gap.csv").exists()
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_budget_is_an_input_error(self, raw, specs, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setenv("DEADEND_BUDGET", raw)
+        assert main(["ball", "--spec", specs["heis"], "--radius", "3",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: DEADEND_BUDGET must be")
+        assert not (tmp_path / "ball.csv").exists()
+
     def test_console_script_runs(self, specs, tmp_path):
         proc = subprocess.run(
             ["deadends", "ball", "--spec", specs["z2"], "--radius", "2",

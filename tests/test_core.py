@@ -11,7 +11,7 @@ from deadends.abelian import (DepthBoundReport, EuclideanGroup, EuclideanSpec, F
 from deadends.core import GenAlphabet, UnknownLetter, Word
 from deadends.geolang import Dfa, FreeGroup, VerifyReport
 from deadends.heis import HeisenbergGroup, HeisFamilyRow, _Symmetry
-from deadends.search import DepthReport, TransferRow, ball
+from deadends.search import DepthReport, ball
 from deadends.sol import (BdiffReport, ExpansionReport, LaurentPoly, SolGroup, SupportVector,
                           WreathZ2Z)
 
@@ -138,9 +138,6 @@ VALUE_CASES = {
     "DepthReport": (lambda: DepthReport(element=(1, 0, 0), distance_from_identity=1,
                                         depth=2, witness=(2, 0, 0)),
                     "depth", {"exceeds_cap": False}),
-    "TransferRow": (lambda: TransferRow(source=(0,), source_depth=3,
-                                        source_exceeds_cap=False, fuzz_radius=1, slack=0,
-                                        target=(0,), target_depth_lb=2), "slack", {}),
     "WeightedGenSet": (lambda: WeightedGenSet(n=1, gens=(((1,), 2),)), "gens", {}),
     "Facet": (lambda: Facet(vertices=((1, 0),), functional=(Fraction(1), Fraction(0))),
               "vertices", {}),

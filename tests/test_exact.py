@@ -1,8 +1,8 @@
 """No float decides anything in the package.
 
-Float constants, `float(...)`, true division and float-valued `math`
-calls appear only in the places listed in ALLOWED, each of which says
-why the float there decides nothing.
+Float constants, `float(...)`, true division, float-valued `math` calls
+and `math` constants appear only in the places listed in ALLOWED, each
+of which says why the float there decides nothing.
 """
 
 import ast
@@ -10,6 +10,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "deadends"
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
+FLOAT_CONSTANTS = {"inf", "nan", "pi", "e", "tau"}
 # (module, qualified name of the enclosing def or class); "" is the whole module.
 ALLOWED = {
     ("sol", "_SupportSearch.__init__"),  # _log_t: where the window search starts
@@ -32,6 +33,9 @@ def _float_use(node: ast.AST):
         if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
                 and f.value.id == "math" and f.attr in FLOAT_MATH):
             return "math.%s()" % f.attr
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr in FLOAT_CONSTANTS):
+        return "math.%s" % node.attr
     return None
 
 
@@ -67,3 +71,6 @@ def test_a_stray_float_division_is_caught():
         (3, "_SupportSearch.reach", "true division"),
         (3, "_SupportSearch.reach", "constant 2.0")]
     assert float_sites(source.replace("reach", "window"), "sol") == []
+    source = "def search(cap=math.inf):\n    return math.pi * math.gcd(4, 6)\n"
+    assert float_sites(source, "abelian") == [
+        (1, "search", "math.inf"), (2, "search", "math.pi")]

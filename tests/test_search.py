@@ -1,7 +1,6 @@
-"""Ball oracle, depth, dead-end scan, and the metric-perturbation lemmas."""
+"""Ball oracle, depth, dead-end scan and the certified max depth."""
 
 import itertools
-import random
 import re
 
 import pytest
@@ -10,23 +9,16 @@ from deadends import search
 from deadends.abelian import WeightedGenSet, WeightedZnGroup, standard_zn
 from deadends.core import DeadendError
 from deadends.geolang import FreeGroup
-from deadends.heis import HeisenbergGroup, heis_inverse, heis_mul, word_length
+from deadends.heis import HeisenbergGroup, heis_inverse
 from deadends.search import (
     BallIndex,
-    BoundViolated,
     ClaimViolation,
-    HypothesisViolated,
-    InsufficientRadius,
     NotInBall,
     ResourceCap,
-    TransferRow,
     ball,
     certified_max_depth,
     deadend_scan,
     depth,
-    depth_transfer_check,
-    function_depth,
-    local_max_from_slack,
 )
 from deadends.sol import HypMatrix, SolGroup, WreathZ2Z
 
@@ -555,172 +547,3 @@ class TestCertifiedMaxDepth:
     def test_weighted_violation_names_first_in_table_order(self):
         g = WeightedZnGroup(WEIGHTED_13)
         assert self._assert_matches_the_walk(ball(g, 10), 2) is ClaimViolation
-
-
-def _dominates(index, f, center, radius):
-    """f attains its max over the radius-ball at the center, per the index."""
-    seen = {center}
-    frontier = [center]
-    fc = f[center]
-    for _step in range(radius):
-        nxt = []
-        for e in frontier:
-            for nb, w in index.neighbors_in_ball(e):
-                if nb not in seen:
-                    seen.add(nb)
-                    if f[nb] > fc:
-                        return False
-                    nxt.append(nb)
-        frontier = nxt
-    return True
-
-
-class TestLocalMaxFromSlack:
-    def test_constant_function(self):
-        g = standard_zn(2)
-        idx = ball(g, 8)
-        f = {e: 7 for e, _d in idx.items_sorted()}
-        a_out, s = local_max_from_slack(idx, f, (0, 0), 4, 2)
-        assert a_out == (0, 0) and s >= 4 // 2
-
-    def test_heis_dead_end_dominates(self, heis_group, heis_ball22):
-        f = {e: d for e, d in heis_ball22.items_sorted()}
-        a_out, s = local_max_from_slack(heis_ball22, f, (0, 0, 5), 4, 2)
-        assert s >= 2
-        assert _dominates(heis_ball22, f, a_out, s)
-
-    def test_unique_boundary_max_is_found(self):
-        g = standard_zn(1)
-        idx = ball(g, 9)
-        r = 3
-        f = {e: 0 for e, _d in idx.items_sorted()}
-        f[(r,)] = 1
-        a_out, s = local_max_from_slack(idx, f, (0,), r, 1)
-        assert a_out == (r,) and s == r
-        assert _dominates(idx, f, a_out, s)
-
-    def test_hypothesis_violated(self):
-        g = standard_zn(1)
-        idx = ball(g, 6)
-        f = {e: abs(e[0]) * 5 for e, _d in idx.items_sorted()}
-        with pytest.raises(HypothesisViolated):
-            local_max_from_slack(idx, f, (0,), 3, 1)
-
-    def test_insufficient_radius(self):
-        g = standard_zn(1)
-        idx = ball(g, 4)
-        f = {e: 0 for e, _d in idx.items_sorted()}
-        with pytest.raises(InsufficientRadius):
-            local_max_from_slack(idx, f, (3,), 3, 1)
-
-    def test_source_outside_the_ball_raises_not_in_ball(self):
-        g = standard_zn(1)
-        idx = ball(g, 4)
-        f = {e: 0 for e in idx.table}
-        with pytest.raises(NotInBall, match=r"\(9\)"):
-            local_max_from_slack(idx, f, (9,), 1, 1)
-
-
-class TestDepthTransfer:
-    def test_identical_tables_map_dead_ends_to_themselves(self):
-        g = HeisenbergGroup()
-        idx = ball(g, 12)
-        d = {e: dd for e, dd in idx.items_sorted()}
-        report = depth_transfer_check(idx, d, d, 1)
-        assert report.rows
-        for row in report.rows:
-            assert row.target == row.source
-            assert row.target_depth_lb >= row.source_depth - 1
-            dep, exceeded = function_depth(idx, d, row.target,
-                                           idx.radius - d[row.target])
-            assert exceeded or dep >= row.target_depth_lb
-
-    def test_empty_dead_end_set(self):
-        g = standard_zn(2)
-        idx = ball(g, 6)
-        d = {e: dd for e, dd in idx.items_sorted()}
-        report = depth_transfer_check(idx, d, d, 1)
-        assert report.rows == []
-
-    def test_rows_match_sorted_reference(self):
-        # d1 = d2 = distance, C = 1: each source of distance-depth D >= 2
-        # is its own target with fuzz radius D - 1 and no slack.
-        g = HeisenbergGroup()
-        idx = ball(g, 12)
-        d = {e: dd for e, dd in idx.items_sorted()}
-        expected = []
-        for e, dd in idx.items_sorted():
-            if dd < idx.radius:
-                D, exceeded = function_depth(idx, d, e, idx.radius - dd)
-                if D >= 2:
-                    expected.append(TransferRow(e, D, exceeded, D - 1, 0, e, D))
-        assert expected
-        assert depth_transfer_check(idx, d, d, 1).rows == expected
-
-    def test_function_depth_stays_in_the_index(self):
-        # f is defined on the ball only, so a cap past the room,
-        # radius - d(element), raises instead of stepping outside it.
-        g = standard_zn(1)
-        idx = ball(g, 4)
-        d = {e: dd for e, dd in idx.items_sorted()}
-        for element, cap in (((4,), 3), ((4,), 1), ((2,), 3)):
-            with pytest.raises(InsufficientRadius):
-                function_depth(idx, d, element, cap)
-        assert function_depth(idx, d, (2,), 2) == (1, False)
-
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_function_depth_rejects_cap_below_one(self, cap):
-        idx = ball(standard_zn(1), 4)
-        d = {e: dd for e, dd in idx.items_sorted()}
-        with pytest.raises(DeadendError, match="cap must be >= 1"):
-            function_depth(idx, d, (0,), cap)
-
-    def test_function_depth_past_the_room_raises(self):
-        # (4,0,-1) lies 4 from (6,0,0), but every geodesic between them
-        # leaves B(6): a search confined to the ball answered (5, True),
-        # "nothing higher within 4".  The cap exceeds the room of 0.
-        idx = ball(HeisenbergGroup(), 6)
-        source, higher = (6, 0, 0), (4, 0, -1)
-        assert word_length(heis_mul(heis_inverse(source), higher)) == 4
-        f = {e: int(e == higher) for e in idx.table}
-        with pytest.raises(InsufficientRadius):
-            function_depth(idx, f, source, 4)
-
-    def test_function_depth_within_the_room_is_exact(self):
-        # cap = room: the answer is the nearest strictly higher element
-        # over the whole group, by the closed-form word length.
-        idx = ball(HeisenbergGroup(), 8)
-        inner = [e for e, dd in idx.items_sorted() if dd < idx.radius]
-        rng = random.Random(23)
-        for _ in range(60):
-            source = rng.choice(inner)
-            f = {e: int(rng.random() < 0.02) for e in idx.table}
-            f[source] = 0
-            cap = idx.radius - idx.distance(source)
-            nearest = min((word_length(heis_mul(heis_inverse(source), y))
-                           for y, v in f.items() if v), default=cap + 1)
-            want = (nearest, False) if nearest <= cap else (cap + 1, True)
-            assert function_depth(idx, f, source, cap) == want
-
-    def test_weighted_sources_are_kept(self):
-        # One generator of weight 2: every element has a farther neighbour,
-        # but only across a letter too heavy to bound the depth below 2.
-        g = WeightedZnGroup(WeightedGenSet(1, (((1,), 2),)))
-        idx = ball(g, 8)
-        d = {e: dd for e, dd in idx.items_sorted()}
-        report = depth_transfer_check(idx, d, d, 1)
-        sources = [e for e, dd in idx.items_sorted() if dd + 2 <= idx.radius]
-        assert [row.source for row in report.rows] == sources
-        assert report.sources_scanned == len(sources)
-        for row in report.rows:
-            cap = idx.radius - d[row.source]
-            assert row.source_depth == function_depth(idx, d, row.source, cap)[0] == 2
-
-    def test_pointwise_bound_enforced(self):
-        g = standard_zn(2)
-        idx = ball(g, 4)
-        d1 = {e: dd for e, dd in idx.items_sorted()}
-        d2 = dict(d1)
-        d2[(2, 2)] += 3
-        with pytest.raises(BoundViolated):
-            depth_transfer_check(idx, d1, d2, 2)
